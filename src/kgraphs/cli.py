@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import algebra as alg
 from . import boundary as bnd
@@ -30,8 +30,6 @@ from .skeleton import (
 @dataclass
 class RunConfig:
     instance: str
-    command: str
-    mode: str = "exact"
     bound: Degree | None = None
     samples: int = 100
     tolerance: float = 1e-9
@@ -265,15 +263,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _tag(report: alg.RelationReport, groupoid_name: str) -> alg.RelationReport:
-    return alg.RelationReport(
-        f"{groupoid_name}.{report.identity}",
-        report.samples,
-        report.seed,
-        report.max_deviation,
-        report.tolerance,
-        report.passed,
-        report.notes,
-    )
+    return replace(report, identity=f"{groupoid_name}.{report.identity}")
 
 
 def cmd_export(config: RunConfig) -> int:
@@ -333,12 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.mode == "truncated" and args.bound is None:
         parser.error("--mode truncated requires --bound")
-    if args.mode == "exact" and args.bound is not None:
-        args.mode = "truncated"
     config = RunConfig(
         instance=args.instance,
-        command=args.command,
-        mode=args.mode,
         bound=args.bound,
         samples=args.samples,
         tolerance=args.tol,
@@ -364,16 +350,10 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(config)
         parser.error(f"unknown command {args.command!r}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SkeletonFormatError as exc:
         print(f"error: bad instance: {exc}", file=sys.stderr)
         return 2
-    except ExactModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ExactModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

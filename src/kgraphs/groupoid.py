@@ -2,14 +2,18 @@
 
 Elements are triples (x, m, y): two space elements whose tails agree after
 shifts differing by m in Z^k.  Each element stores one witnessing shift pair;
-equality ignores witnesses.  The module also verifies, at finite scale, the
-structure that makes the groupoid etale: cylinder sets cover it and the
-range and source maps are injective on each cylinder.
+equality ignores witnesses.  Composition and inversion live in
+`FiniteGroupoid` as one table, built on first use: each element's successors
+in ascending order with their composites, and each element's inverse.  The
+module also verifies, at finite scale, the structure that makes the groupoid
+etale: cylinder sets cover it and the range and source maps are injective on
+each cylinder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .skeleton import Degree, ExactModeError, degree_box
 from . import paths as pth
@@ -64,6 +68,40 @@ class FiniteGroupoid:
 
     def units(self) -> tuple[int, ...]:
         return tuple(sorted(self.unit_index))
+
+    @cached_property
+    def successors(self) -> tuple[dict[int, int | None], ...]:
+        """successors[a] maps each b with b.x == a.y, ascending, to the index of ab.
+
+        A composite missing from a hand-built element list maps to None.
+        """
+        by_range: dict[int, list[int]] = {}
+        for i, g in enumerate(self.elements):
+            by_range.setdefault(g.x, []).append(i)
+        table = []
+        for a in self.elements:
+            row: dict[int, int | None] = {}
+            for ib in by_range.get(a.y, ()):
+                b = self.elements[ib]
+                row[ib] = self._index.get((a.x, tuple(p + q for p, q in zip(a.m, b.m)), b.y))
+            table.append(row)
+        return tuple(table)
+
+    @cached_property
+    def inverse(self) -> dict[int, int]:
+        """inverse[a] is the index of a's inverse; a missing inverse has no key."""
+        labels = ((i, (g.y, tuple(-c for c in g.m), g.x)) for i, g in enumerate(self.elements))
+        return {i: self._index[label] for i, label in labels if label in self._index}
+
+    def product(self, a: int, b: int) -> int:
+        """Index of ab: ValueError if not composable, KeyError if recorded missing."""
+        row = self.successors[a]
+        if row.get(b) is not None:
+            return row[b]
+        la, lb = self.elements[a].label(), self.elements[b].label()
+        if b in row:
+            raise KeyError(f"composite of {la} and {lb} missing")
+        raise ValueError(f"not composable: {la} then {lb}")
 
     def to_json(self) -> dict:
         orbit_of: dict[int, int] = {}
@@ -130,18 +168,14 @@ def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
 
 
 def invert_element(G: FiniteGroupoid, g: GroupoidElement) -> GroupoidElement:
-    label = (g.y, tuple(-c for c in g.m), g.x)
-    return G.elements[G.index_of(label)]
+    return G.elements[G.inverse[G.index_of(g.label())]]
 
 
 def compose_elements(
     G: FiniteGroupoid, g1: GroupoidElement, g2: GroupoidElement
 ) -> GroupoidElement:
     """The composite (x, m+n, z) of (x, m, y) and (y, n, z)."""
-    if g1.y != g2.x:
-        raise ValueError(f"not composable: {g1.label()} then {g2.label()}")
-    label = (g1.x, tuple(a + b for a, b in zip(g1.m, g2.m)), g2.y)
-    return G.elements[G.index_of(label)]
+    return G.elements[G.product(G.index_of(g1.label()), G.index_of(g2.label()))]
 
 
 def cocycle(g: GroupoidElement) -> tuple[int, ...]:
@@ -186,12 +220,11 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
     """Closure, units, inverses, witness validity, and associativity."""
     failures: list[str] = []
     sk = G.space.skeleton
-    zero = (0,) * G.rank
 
     for u in range(len(G.space.elements)):
-        if (u, zero, u) not in G:
+        if u not in G.unit_index:
             failures.append(f"missing unit at space index {u}")
-    for g in G.elements:
+    for i, g in enumerate(G.elements):
         p, q = g.witness
         xpath, ypath = G.space.elements[g.x].path, G.space.elements[g.y].path
         if (
@@ -201,45 +234,33 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
             or pth.factorize(sk, xpath, p)[1] != pth.factorize(sk, ypath, q)[1]
         ):
             failures.append(f"invalid witness on {g.label()}")
-        inv = (g.y, tuple(-c for c in g.m), g.x)
-        if inv not in G:
+        if i not in G.inverse:
             failures.append(f"inverse of {g.label()} missing")
-        else:
-            if (g.x, zero, g.x) not in G or (g.y, zero, g.y) not in G:
-                failures.append(f"unit for {g.label()} missing")
+        elif g.x not in G.unit_index or g.y not in G.unit_index:
+            failures.append(f"unit for {g.label()} missing")
 
-    for g1 in G.elements:
-        for g2 in G.elements:
-            if g1.y != g2.x:
-                continue
-            label = (g1.x, tuple(a + b for a, b in zip(g1.m, g2.m)), g2.y)
-            if label not in G:
-                failures.append(f"composite of {g1.label()} and {g2.label()} missing")
+    for g1, successors in zip(G.elements, G.successors):
+        for i2, i12 in successors.items():
+            if i12 is None:
+                failures.append(f"composite of {g1.label()} and {G.elements[i2].label()} missing")
 
     if not failures:
-        # With closure established, unit/inverse/associativity laws reduce to
-        # label arithmetic; spot-check them exhaustively all the same.
-        for g in G.elements:
-            gu = compose_elements(G, g, G.elements[G.unit_index[g.y]])
-            ug = compose_elements(G, G.elements[G.unit_index[g.x]], g)
-            if gu != g or ug != g:
+        # With closure established, check the unit and inverse laws on every
+        # element and associativity on every composable triple of the table.
+        for i, g in enumerate(G.elements):
+            ux, uy = G.unit_index[g.x], G.unit_index[g.y]
+            if G.product(i, uy) != i or G.product(ux, i) != i:
                 failures.append(f"unit law fails at {g.label()}")
-            gi = invert_element(G, g)
-            if compose_elements(G, g, gi) != G.elements[G.unit_index[g.x]]:
+            if G.product(i, G.inverse[i]) != ux:
                 failures.append(f"inverse law fails at {g.label()}")
-        for g1 in G.elements:
-            for g2 in G.elements:
-                if g1.y != g2.x:
-                    continue
-                g12 = compose_elements(G, g1, g2)
-                for g3 in G.elements:
-                    if g2.y != g3.x:
-                        continue
-                    if compose_elements(G, g12, g3) != compose_elements(
-                        G, g1, compose_elements(G, g2, g3)
-                    ):
+        table = G.successors
+        for i1, successors in enumerate(table):
+            for i2, i12 in successors.items():
+                for i3, i23 in table[i2].items():
+                    if table[i12][i3] != successors[i23]:
                         failures.append(
-                            f"associativity fails at {g1.label()},{g2.label()},{g3.label()}"
+                            "associativity fails at "
+                            f"{G.elements[i1].label()},{G.elements[i2].label()},{G.elements[i3].label()}"
                         )
     return GroupoidAxiomReport(not failures, tuple(failures))
 

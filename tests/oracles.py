@@ -5,10 +5,14 @@ never on the package's normal forms, so agreement with the library is a
 genuine two-route check.  Words are tuples of edge ids read left to right
 from the range; two words name the same path exactly when one rewrites to
 the other by single square swaps.
+
+The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
+(x, m + n, z), instead of reading the groupoid's composition table.
 """
 
 from __future__ import annotations
 
+from kgraphs.algebra import AlgebraElement
 from kgraphs.skeleton import Degree, Skeleton
 
 
@@ -180,3 +184,41 @@ def rank1_boundary(sk: Skeleton) -> set[tuple[str, tuple[str, ...]]]:
             if ok:
                 boundary.add((v.id, chain))
     return boundary
+
+
+# Groupoid labels: convolution and involution by label arithmetic, the
+# reference for the composition table of `FiniteGroupoid`.
+
+
+def label_composite(a, b) -> tuple:
+    return (a.x, tuple(p + q for p, q in zip(a.m, b.m)), b.y)
+
+
+def label_inverse(g) -> tuple:
+    return (g.y, tuple(-c for c in g.m), g.x)
+
+
+def label_convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """Sum f(a) g(b) over every composable support pair, ascending (a, b)."""
+    G = f.groupoid
+    acc: dict[int, complex] = {}
+    for ia, ca in f.coefficients.items():
+        a = G.elements[ia]
+        for ib, cb in g.coefficients.items():
+            b = G.elements[ib]
+            if a.y != b.x:
+                continue
+            idx = G.index_of(label_composite(a, b))
+            acc[idx] = acc.get(idx, 0j) + ca * cb
+    return AlgebraElement(G, acc)
+
+
+def label_involution(f: AlgebraElement) -> AlgebraElement:
+    G = f.groupoid
+    return AlgebraElement(
+        G,
+        {
+            G.index_of(label_inverse(G.elements[i])): c.conjugate()
+            for i, c in f.coefficients.items()
+        },
+    )

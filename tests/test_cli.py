@@ -182,3 +182,12 @@ def test_truncated_mode_requires_bound(capsys):
         main(["boundary", str(instance_path("a")), "--mode", "truncated"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_exhaustive_unknown_vertex_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "exhaustive", str(instance_path("b")), "--vertex", "nope", "--minimal"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown vertex 'nope'\n"
