@@ -6,11 +6,16 @@ sets at every vertex along a path.  On cyclic skeletons only a truncated
 view is available: elements are prefix classes up to a degree bound, with
 per-color markers recording whether extensions continue past the bound or
 run forever (cycle reachability).
+
+Each `FinitePathSpace` owns the one table of its elements' (head, tail)
+splits, built on first use (`factors`, `index_of_factors`); the groupoid build
+and checks and the edge operators read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .skeleton import Degree, ExactModeError, Skeleton, degree_box, is_acyclic
@@ -199,6 +204,19 @@ class FinitePathSpace:
 
     def __contains__(self, p: Path) -> bool:
         return p in self._index
+
+    @cached_property
+    def factors(self) -> tuple[dict[tuple[int, ...], tuple[Path, Path]], ...]:
+        """factors[i][m.coords] is factorize(x_i, m), for every m <= d(x_i)."""
+        return tuple(
+            {m.coords: pth.factorize(self.skeleton, el.path, m) for m in degree_box(el.degree)}
+            for el in self.elements
+        )
+
+    @cached_property
+    def index_of_factors(self) -> dict[tuple[Path, Path], int]:
+        """index_of_factors[(head, tail)] is the index of the element head.tail."""
+        return {split: i for i, row in enumerate(self.factors) for split in row.values()}
 
     @property
     def is_exact(self) -> bool:

@@ -155,8 +155,20 @@ def cmd_exhaustive(
     return 0 if result.status != "not_exhaustive" else 1
 
 
-def cmd_boundary(config: RunConfig) -> int:
+def _load_valid(config: RunConfig) -> Skeleton | None:
+    """The instance, or None once its validation failures are emitted."""
     sk = _load(config)
+    squares, hexagons = validate(sk)
+    if squares.passed and hexagons.passed:
+        return sk
+    failures = {"squares": squares.to_json(), "associativity": hexagons.to_json()}
+    _emit(config, {"error": "instance fails validation", **failures})
+    return None
+
+
+def cmd_boundary(config: RunConfig) -> int:
+    if (sk := _load_valid(config)) is None:
+        return 1
     space = bnd.enumerate_path_space(sk, bound=config.bound)
     if space.is_exact:
         payload = bnd.boundary_report(space)
@@ -180,7 +192,8 @@ def cmd_boundary(config: RunConfig) -> int:
 
 
 def cmd_groupoid(config: RunConfig, boundary_only: bool) -> int:
-    sk = _load(config)
+    if (sk := _load_valid(config)) is None:
+        return 1
     space = bnd.enumerate_path_space(sk, bound=config.bound)
     G = gpd.build_path_groupoid(space)
     payload: dict = {"path_groupoid_size": len(G), "complete": G.complete}
@@ -210,17 +223,7 @@ def cmd_groupoid(config: RunConfig, boundary_only: bool) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    sk = _load(config)
-    squares, hexagons = validate(sk)
-    if not (squares.passed and hexagons.passed):
-        _emit(
-            config,
-            {
-                "error": "instance fails validation",
-                "squares": squares.to_json(),
-                "associativity": hexagons.to_json(),
-            },
-        )
+    if (sk := _load_valid(config)) is None:
         return 1
     space = bnd.enumerate_path_space(sk)
     G = gpd.build_path_groupoid(space)
@@ -286,13 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--mode", choices=("exact", "truncated"), default="exact")
         p.add_argument("--bound", type=_parse_degree, default=None,
                        help="truncation bound, e.g. 2,2")
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text", "dot"), default="json")
+        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
 
     common(sub.add_parser("validate", help="check squares and associativity"))
@@ -321,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mode == "truncated" and args.bound is None:
-        parser.error("--mode truncated requires --bound")
     config = RunConfig(
         instance=args.instance,
         bound=args.bound,

@@ -1,13 +1,14 @@
 """The path groupoid of an enumerated path space, and its boundary reduction.
 
 Elements are triples (x, m, y): two space elements whose tails agree after
-shifts differing by m in Z^k.  Each element stores one witnessing shift pair;
-equality ignores witnesses.  Composition and inversion live in
-`FiniteGroupoid` as one table, built on first use: each element's successors
-in ascending order with their composites, and each element's inverse.  The
-module also verifies, at finite scale, the structure that makes the groupoid
-etale: cylinder sets cover it and the range and source maps are injective on
-each cylinder.
+shifts differing by m in Z^k, found by a join on the tails of the path
+space's factorization table (`FinitePathSpace.factors`).  Each element stores
+one witnessing shift pair; equality ignores witnesses.  Composition and
+inversion live in `FiniteGroupoid` as one table, built on first use: each
+element's successors in ascending order with their composites, and each
+element's inverse.  The module also verifies, at finite scale, the structure
+that makes the groupoid etale: cylinder sets cover it and the range and
+source maps are injective on each cylinder.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .skeleton import Degree, ExactModeError, degree_box
+from .skeleton import Degree, ExactModeError
 from . import paths as pth
 from .paths import Path
-from .boundary import FinitePathSpace, boundary_paths, prepend
+from .boundary import FinitePathSpace, boundary_paths
 
 
 @dataclass(frozen=True)
@@ -124,39 +125,28 @@ class FiniteGroupoid:
         }
 
 
-def _tails(space: FinitePathSpace) -> list[dict[tuple[int, ...], Path]]:
-    sk = space.skeleton
-    out = []
-    for el in space.elements:
-        table = {
-            m.coords: pth.factorize(sk, el.path, m)[1] for m in degree_box(el.path.degree)
-        }
-        out.append(table)
-    return out
-
-
 def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     """Enumerate all (x, p - q, y) with matching tails at shifts p, q.
 
-    On an exact space this is the whole path groupoid.  On a truncated space
-    only witnesses within the recorded prefixes are visible, so the result
-    carries complete=False.
+    A join: each (x, p) is bucketed under its tail, pairs within a bucket are
+    elements, and the least p is kept as the witness.  On an exact space this
+    is the whole path groupoid.  On a truncated space only witnesses within
+    the recorded prefixes are visible, so the result carries complete=False.
     """
-    tails = _tails(space)
-    found: dict[tuple[int, tuple[int, ...], int], tuple[Degree, Degree]] = {}
-    for ix in range(len(space.elements)):
-        for iy in range(len(space.elements)):
-            for p_coords, ptail in tails[ix].items():
-                for q_coords, qtail in tails[iy].items():
-                    if ptail != qtail:
-                        continue
-                    m = tuple(a - b for a, b in zip(p_coords, q_coords))
-                    label = (ix, m, iy)
-                    wit = (Degree(p_coords), Degree(q_coords))
-                    if label not in found or wit[0].coords < found[label][0].coords:
-                        found[label] = wit
+    buckets: dict[Path, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, row in enumerate(space.factors):
+        for p, (_, tail) in row.items():
+            buckets.setdefault(tail, []).append((i, p))
+    found: dict[tuple[int, tuple[int, ...], int], tuple] = {}
+    for entries in buckets.values():
+        for ix, p in entries:
+            for iy, q in entries:
+                label = (ix, tuple(a - b for a, b in zip(p, q)), iy)
+                if label not in found or p < found[label][0]:
+                    found[label] = (p, q)
     elements = [
-        GroupoidElement(x, m, y, witness=found[(x, m, y)]) for (x, m, y) in found
+        GroupoidElement(x, m, y, witness=(Degree(p), Degree(q)))
+        for (x, m, y), (p, q) in found.items()
     ]
     return FiniteGroupoid(space, elements, complete=space.is_exact)
 
@@ -219,7 +209,7 @@ class GroupoidAxiomReport:
 def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
     """Closure, units, inverses, witness validity, and associativity."""
     failures: list[str] = []
-    sk = G.space.skeleton
+    factors = G.space.factors
 
     for u in range(len(G.space.elements)):
         if u not in G.unit_index:
@@ -231,7 +221,7 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
             not p <= xpath.degree
             or not q <= ypath.degree
             or tuple(a - b for a, b in zip(p.coords, q.coords)) != g.m
-            or pth.factorize(sk, xpath, p)[1] != pth.factorize(sk, ypath, q)[1]
+            or factors[g.x][p.coords][1] != factors[g.y][q.coords][1]
         ):
             failures.append(f"invalid witness on {g.label()}")
         if i not in G.inverse:
@@ -275,23 +265,20 @@ class CylinderSet:
 
 
 def cylinder(G: FiniteGroupoid, lam: Path, mu: Path) -> CylinderSet:
+    """The elements (lam.z, d(lam)-d(mu), mu.z), looked up in the factorization table."""
     sk = G.space.skeleton
-    if pth.source(sk, lam) != pth.source(sk, mu):
+    at = pth.source(sk, lam)
+    if at != pth.source(sk, mu):
         raise ValueError("cylinder needs paths with a common source")
     if not G.space.is_exact:
         raise ExactModeError("cylinders are only enumerable in exact mode")
-    m = tuple(
-        a - b for a, b in zip(lam.degree.coords, mu.degree.coords)
-    )
-    members = []
-    tail_vertex = pth.source(sk, lam)
-    for el in G.space.elements:
-        if el.path.range != tail_vertex:
-            continue
-        xl = prepend(sk, lam, el)
-        xm = prepend(sk, mu, el)
-        label = (G.space.index_of(xl.path), m, G.space.index_of(xm.path))
-        members.append(G.index_of(label))
+    m = tuple(a - b for a, b in zip(lam.degree.coords, mu.degree.coords))
+    joined = G.space.index_of_factors
+    members = [
+        G.index_of((joined[(lam, el.path)], m, joined[(mu, el.path)]))
+        for el in G.space.elements
+        if el.path.range == at
+    ]
     return CylinderSet(lam, mu, tuple(sorted(members)))
 
 
@@ -314,18 +301,17 @@ def verify_etale(G: FiniteGroupoid) -> EtaleReport:
     if not G.space.is_exact:
         raise ExactModeError("etale verification requires an exact space")
     sk = G.space.skeleton
+    factors = G.space.factors
     failures: list[str] = []
-    seen_cylinders: set[tuple[Path, Path]] = set()
+    cylinders: dict[tuple[Path, Path], CylinderSet] = {}
     for i, g in enumerate(G.elements):
         p, q = g.witness
-        lam = pth.factorize(sk, G.space.elements[g.x].path, p)[0]
-        mu = pth.factorize(sk, G.space.elements[g.y].path, q)[0]
-        cyl = cylinder(G, lam, mu)
-        if i not in cyl.members:
+        lam_mu = (factors[g.x][p.coords][0], factors[g.y][q.coords][0])
+        if lam_mu not in cylinders:
+            cylinders[lam_mu] = cylinder(G, *lam_mu)
+        if i not in cylinders[lam_mu].members:
             failures.append(f"element {g.label()} not covered by its witness cylinder")
-        seen_cylinders.add((lam, mu))
-    for lam, mu in sorted(seen_cylinders, key=lambda t: (pth.path_sort_key(t[0]), pth.path_sort_key(t[1]))):
-        cyl = cylinder(G, lam, mu)
+    for (lam, mu), cyl in sorted(cylinders.items(), key=lambda kv: tuple(map(pth.path_sort_key, kv[0]))):
         ranges = [G.elements[i].x for i in cyl.members]
         sources = [G.elements[i].y for i in cyl.members]
         if len(set(ranges)) != len(ranges):
@@ -336,7 +322,7 @@ def verify_etale(G: FiniteGroupoid) -> EtaleReport:
     for v in sk.vertices:
         vp = pth.vertex_path(sk, v.id)
         if any(el.path.range == v.id for el in G.space.elements):
-            unit_union.update(cylinder(G, vp, vp).members)
+            unit_union.update((cylinders.get((vp, vp)) or cylinder(G, vp, vp)).members)
     if unit_union != set(G.unit_index.values()):
         failures.append("unit space differs from the union of vertex cylinders")
     return EtaleReport(not failures, tuple(failures))

@@ -7,13 +7,18 @@ from the range; two words name the same path exactly when one rewrites to
 the other by single square swaps.
 
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
-(x, m + n, z), instead of reading the groupoid's composition table.
+(x, m + n, z), instead of reading the groupoid's composition table, and
+build the groupoid and its cylinders by factorizing and composing paths
+afresh instead of reading the path space's factorization table.
 """
 
 from __future__ import annotations
 
+from kgraphs import paths as pth
 from kgraphs.algebra import AlgebraElement
-from kgraphs.skeleton import Degree, Skeleton
+from kgraphs.boundary import FinitePathSpace, prepend
+from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement
+from kgraphs.skeleton import Degree, ExactModeError, Skeleton, degree_box
 
 
 def swap_neighbors(sk: Skeleton, word: tuple[str, ...]):
@@ -222,3 +227,49 @@ def label_involution(f: AlgebraElement) -> AlgebraElement:
             for i, c in f.coefficients.items()
         },
     )
+
+
+# The groupoid and its cylinders by the definition: compare every tail of x
+# with every tail of y, and prepend to every space element.  References for
+# the tail join and the table lookups of `kgraphs.groupoid`.
+
+
+def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
+    """Every (x, p - q, y) with equal tails, witnessed by the least p."""
+    sk = space.skeleton
+    tails = [
+        {m.coords: pth.factorize(sk, el.path, m)[1] for m in degree_box(el.path.degree)}
+        for el in space.elements
+    ]
+    found: dict[tuple, tuple[Degree, Degree]] = {}
+    for ix in range(len(space.elements)):
+        for iy in range(len(space.elements)):
+            for p_coords, ptail in tails[ix].items():
+                for q_coords, qtail in tails[iy].items():
+                    if ptail != qtail:
+                        continue
+                    m = tuple(a - b for a, b in zip(p_coords, q_coords))
+                    label = (ix, m, iy)
+                    wit = (Degree(p_coords), Degree(q_coords))
+                    if label not in found or wit[0].coords < found[label][0].coords:
+                        found[label] = wit
+    elements = [GroupoidElement(x, m, y, witness=found[(x, m, y)]) for (x, m, y) in found]
+    return FiniteGroupoid(space, elements, complete=space.is_exact)
+
+
+def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
+    """Z(lam, mu) from lam.z and mu.z, composed for every space element z."""
+    sk = G.space.skeleton
+    if pth.source(sk, lam) != pth.source(sk, mu):
+        raise ValueError("cylinder needs paths with a common source")
+    if not G.space.is_exact:
+        raise ExactModeError("cylinders are only enumerable in exact mode")
+    m = tuple(a - b for a, b in zip(lam.degree.coords, mu.degree.coords))
+    members = []
+    for el in G.space.elements:
+        if el.path.range != pth.source(sk, lam):
+            continue
+        xl = prepend(sk, lam, el)
+        xm = prepend(sk, mu, el)
+        members.append(G.index_of((G.space.index_of(xl.path), m, G.space.index_of(xm.path))))
+    return CylinderSet(lam, mu, tuple(sorted(members)))

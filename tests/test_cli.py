@@ -177,11 +177,21 @@ def test_export_dot(capsys):
     assert '"w" -> "v"' in out
 
 
-def test_truncated_mode_requires_bound(capsys):
+@pytest.mark.parametrize("command", ["groupoid", "boundary"])
+def test_invalid_instance_is_refused_before_the_path_space(capsys, command):
+    code, out, err = run(capsys, command, str(instance_path("d")), "--bound", "1,1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "instance fails validation"
+    assert ["b2", "r"] in [f["items"] for f in payload["squares"]["failures"]]
+    assert err == ""
+
+
+def test_dot_is_not_a_report_format(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["boundary", str(instance_path("a")), "--mode", "truncated"])
+        main(["verify", str(instance_path("b")), "--format", "dot"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 def test_exhaustive_unknown_vertex_is_a_usage_error(capsys):
