@@ -1,22 +1,21 @@
 """Exhaustive sets, vertex classification, the path space and its boundary.
 
 In exact mode (acyclic skeleton) the path space is the finite set of all
-paths and boundary membership is decidable by checking minimal exhaustive
-sets at every vertex along a path.  On cyclic skeletons only a truncated
-view is available: elements are prefix classes up to a degree bound, with
-per-color markers recording whether extensions continue past the bound or
-run forever (cycle reachability).
+paths, and exhaustiveness and boundary membership reduce to maximal paths
+(`minimal_exhaustive_sets`, `boundary_paths`).  On cyclic skeletons only a
+truncated view is available: elements are prefix classes up to a degree
+bound, with per-color markers recording whether extensions continue past the
+bound or run forever (cycle reachability).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
-splits, built on first use (`factors`, `index_of_factors`); the groupoid build
-and checks and the edge operators read it.
+splits, built on first use (`factors`, `index_of_factors`); the groupoid
+build and checks, the edge operators and `is_boundary` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .skeleton import Degree, ExactModeError, Skeleton, degree_box, is_acyclic
 from . import paths as pth
@@ -65,10 +64,6 @@ class ExhaustivenessResult:
     bound: Degree | None = None
 
 
-def _has_common_extension(sk: Skeleton, a: Path, b: Path) -> bool:
-    return bool(pth.minimal_extension_pairs(sk, a, b))
-
-
 def is_exhaustive(
     sk: Skeleton, vertex_id: str, members, bound: Degree | None = None
 ) -> ExhaustivenessResult:
@@ -91,7 +86,7 @@ def is_exhaustive(
             p for n in degree_box(bound) for p in pth.paths_from(sk, vertex_id, n)
         ]
     for lam in candidates:
-        if not any(_has_common_extension(sk, lam, mu) for mu in members):
+        if not any(pth.minimal_extension_pairs(sk, lam, mu) for mu in members):
             return ExhaustivenessResult("not_exhaustive", witness=lam, bound=bound)
     if bound is None:
         return ExhaustivenessResult("exhaustive")
@@ -102,22 +97,38 @@ def minimal_exhaustive_sets(sk: Skeleton, vertex_id: str) -> tuple[ExhaustiveSet
     """All inclusion-minimal exhaustive subsets of the paths at a vertex.
 
     Monotonicity (supersets of exhaustive sets are exhaustive) means these
-    suffice for boundary checking.  Searched smallest-first with superset
-    pruning; the vertex path itself guarantees at least one hit.
+    suffice for boundary checking.  The paths at the vertex are finite and
+    acyclic, so each extends to a maximal path (its source receives no
+    edge), and a path shares an extension with a maximal path only as its
+    prefix.  So a set is exhaustive iff it holds a prefix of every maximal
+    path: the minimal ones are the minimal transversals of the maximal
+    paths' prefix sets.  Branch on the first maximal path not yet hit, bar
+    each member from its later sibling branches, and drop a choice that
+    leaves a chosen member hitting no maximal path alone; list by (size,
+    pool indices), the order of a smallest-first search over subsets.
     """
     pool = pth.paths_with_range(sk, vertex_id)
-    # Precompute pairwise compatibility: entry [i][j] says pool[i] and
-    # pool[j] admit a common extension.
-    compatible = [
-        [_has_common_extension(sk, a, b) for b in pool] for a in pool
+    index = {p: i for i, p in enumerate(pool)}
+    rows = [
+        sum(1 << index[pth.factorize(sk, g, m)[0]] for m in degree_box(g.degree))
+        for g in pool
+        if not sk.edges_by_range[pth.source(sk, g)]
     ]
     found: list[tuple[int, ...]] = []
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(range(len(pool)), size):
-            if any(set(minimal) <= set(combo) for minimal in found):
-                continue
-            if all(any(compatible[i][j] for j in combo) for i in range(len(pool))):
-                found.append(combo)
+
+    def grow(chosen: tuple[int, ...], mask: int, banned: int) -> None:
+        row = next((r for r in rows if not r & mask), None)
+        if row is None:
+            found.append(tuple(sorted(chosen)))
+            return
+        for i in [i for i in range(len(pool)) if (row & ~banned) >> i & 1]:
+            taken = mask | 1 << i
+            if all(any(r & taken == 1 << c for r in rows) for c in chosen):
+                grow(chosen + (i,), taken, banned)
+            banned |= 1 << i
+
+    grow((), 0, 0)
+    found.sort(key=lambda combo: (len(combo), combo))
     return tuple(
         ExhaustiveSet(vertex_id, tuple(pool[i] for i in combo)) for combo in found
     )
@@ -316,40 +327,43 @@ def is_boundary(
     """Decide boundary membership of an exact element, with a certificate.
 
     For every position m along the path and every minimal exhaustive set at
-    the vertex there, some member must be a prefix of the tail.  Truncated
-    spaces cannot settle this; the certificate then says so and the boolean
-    is None.
+    the vertex there, some member must be a prefix of the tail.  The tail
+    after m and the tail's prefixes are read off the space's `factors`, so x
+    must be an element of the space.  Truncated spaces cannot settle this;
+    the certificate then says so and the boolean is None.
     """
     el = x if isinstance(x, PathSpaceElement) else PathSpaceElement(x)
     if not space.is_exact or el.truncated:
         return None, BoundaryCertificate("undecided_at_bound", ())
-    sk = space.skeleton
     cache = _cache if _cache is not None else {}
     entries: list[BoundaryEntry] = []
-    p = el.path
-    for m in degree_box(p.degree):
-        v = pth.vertex_at(sk, p, m)
+    for m, (_, tail) in space.factors[space.index_of(el.path)].items():
+        v = tail.range
+        prefixes = {head for head, _ in space.factors[space.index_of(tail)].values()}
         if v not in cache:
-            cache[v] = minimal_exhaustive_sets(sk, v)
+            cache[v] = minimal_exhaustive_sets(space.skeleton, v)
         for ex_set in cache[v]:
-            witness = None
-            for lam in ex_set.members:
-                if m + lam.degree <= p.degree and pth.segment(sk, p, m, m + lam.degree) == lam:
-                    witness = lam
-                    break
-            entries.append(BoundaryEntry(m, v, ex_set.members, witness))
+            witness = next((lam for lam in ex_set.members if lam in prefixes), None)
+            entries.append(BoundaryEntry(Degree(m), v, ex_set.members, witness))
             if witness is None:
                 return False, BoundaryCertificate("not_boundary", tuple(entries))
     return True, BoundaryCertificate("boundary", tuple(entries))
 
 
 def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
-    """The boundary restriction of an exact path space."""
+    """The boundary restriction of an exact path space.
+
+    On a finite acyclic graph x is a boundary path iff its source receives
+    no edge.  If s(x) receives none, every tail of x is maximal, and every
+    exhaustive set at its range holds one of its prefixes.  If s(x) receives
+    an edge, the maximal paths at s(x) form an exhaustive set that does not
+    hold the vertex path, the only prefix of the tail of x at d(x).
+    """
     if not space.is_exact:
         raise ExactModeError("boundary paths are only decidable in exact mode")
-    cache: dict = {}
-    kept = [el for el in space.elements if is_boundary(space, el, cache)[0]]
-    return FinitePathSpace(space.skeleton, "exact", kept, boundary_only=True)
+    sk = space.skeleton
+    kept = [el for el in space.elements if not sk.edges_by_range[pth.source(sk, el.path)]]
+    return FinitePathSpace(sk, "exact", kept, boundary_only=True)
 
 
 def boundary_report(space: FinitePathSpace) -> dict:

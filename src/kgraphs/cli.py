@@ -70,6 +70,17 @@ def _emit(config: RunConfig, payload, text_lines=None) -> None:
         sys.stdout.write(rendered)
 
 
+def _load_valid(config: RunConfig) -> Skeleton | None:
+    """The instance, or None once its validation failures are emitted."""
+    sk = _load(config)
+    squares, hexagons = validate(sk)
+    if squares.passed and hexagons.passed:
+        return sk
+    failures = {"squares": squares.to_json(), "associativity": hexagons.to_json()}
+    _emit(config, {"error": "instance fails validation", **failures})
+    return None
+
+
 def _parse_path(sk: Skeleton, text: str) -> pth.Path:
     """A path literal: a vertex id, or comma-separated edge ids."""
     if text in sk.vertex_ids:
@@ -103,7 +114,8 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_paths(config: RunConfig, degree: Degree, vertex: str | None) -> int:
-    sk = _load(config)
+    if (sk := _load_valid(config)) is None:
+        return 1
     found = (
         pth.paths_from(sk, vertex, degree) if vertex else pth.all_paths(sk, degree)
     )
@@ -113,7 +125,8 @@ def cmd_paths(config: RunConfig, degree: Degree, vertex: str | None) -> int:
 
 
 def cmd_lambda_min(config: RunConfig, left: str, right: str) -> int:
-    sk = _load(config)
+    if (sk := _load_valid(config)) is None:
+        return 1
     a, b = _parse_path(sk, left), _parse_path(sk, right)
     pairs = pth.minimal_extension_pairs(sk, a, b)
     payload = {
@@ -128,7 +141,8 @@ def cmd_lambda_min(config: RunConfig, left: str, right: str) -> int:
 def cmd_exhaustive(
     config: RunConfig, vertex: str, members: str | None, minimal: bool
 ) -> int:
-    sk = _load(config)
+    if (sk := _load_valid(config)) is None:
+        return 1
     if minimal:
         sets = bnd.minimal_exhaustive_sets(sk, vertex)
         payload = {
@@ -155,28 +169,19 @@ def cmd_exhaustive(
     return 0 if result.status != "not_exhaustive" else 1
 
 
-def _load_valid(config: RunConfig) -> Skeleton | None:
-    """The instance, or None once its validation failures are emitted."""
-    sk = _load(config)
-    squares, hexagons = validate(sk)
-    if squares.passed and hexagons.passed:
-        return sk
-    failures = {"squares": squares.to_json(), "associativity": hexagons.to_json()}
-    _emit(config, {"error": "instance fails validation", **failures})
-    return None
-
-
 def cmd_boundary(config: RunConfig) -> int:
     if (sk := _load_valid(config)) is None:
         return 1
     space = bnd.enumerate_path_space(sk, bound=config.bound)
     if space.is_exact:
         payload = bnd.boundary_report(space)
-        lines = [f"vertex classes: regular={list(payload['classification']['regular'])}"]
-        for member in payload["elements"]:
-            flag = "boundary" if member["boundary"] else "interior"
-            lines.append(f"  {json.dumps(member['element']['prefixes'][-1][1], sort_keys=True)}: {flag}")
-        lines.append(f"boundary size: {payload['boundary_size']}")
+        lines = None
+        if config.format == "text":
+            lines = [f"vertex classes: regular={list(payload['classification']['regular'])}"]
+            for member in payload["elements"]:
+                path = json.dumps(member["element"]["prefixes"][-1][1], sort_keys=True)
+                lines.append(f"  {path}: {'boundary' if member['boundary'] else 'interior'}")
+            lines.append(f"boundary size: {payload['boundary_size']}")
         _emit(config, payload, lines)
         return 0
     payload = {

@@ -20,6 +20,7 @@ from itertools import product
 from typing import Iterator
 
 MAX_COORD = 2**31 - 1
+SQUARE_KEYS = ("first", "second", "swapped_first", "swapped_second")
 
 
 class SkeletonFormatError(ValueError):
@@ -226,11 +227,28 @@ class ValidationReport:
         }
 
 
+def _check_items(key: str, items, fields: dict[str, type]) -> None:
+    """Raise unless items is a list of objects holding each field at exactly its type."""
+    if not isinstance(items, list):
+        raise SkeletonFormatError(f"{key} must be a list, got {items!r}")
+    for n, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SkeletonFormatError(f"{key}[{n}] must be an object, got {item!r}")
+        for name, kind in fields.items():
+            if name not in item:
+                raise SkeletonFormatError(f"{key}[{n}] is missing key {name!r}")
+            if type(item[name]) is not kind:
+                raise SkeletonFormatError(
+                    f"{key}[{n}].{name} must be {kind.__name__}, got {item[name]!r}"
+                )
+
+
 def load_skeleton(document: str | dict) -> Skeleton:
     """Parse a skeleton document (JSON text or an equivalent dict).
 
-    Only structural validity is checked here: unique ids, colors in range,
-    and no dangling references.  The k-graph axioms are the business of
+    Only structural validity is checked here: item shapes (string ids, int
+    rank and colors, never bool), unique ids, colors in range, and no
+    dangling references.  The k-graph axioms are the business of
     validate_squares / validate_associativity.
     """
     if isinstance(document, str):
@@ -250,8 +268,11 @@ def load_skeleton(document: str | dict) -> Skeleton:
         raw_squares = data.get("squares", [])
     except KeyError as exc:
         raise SkeletonFormatError(f"missing key {exc.args[0]!r}") from exc
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise SkeletonFormatError(f"rank must be a positive integer, got {rank!r}")
+    _check_items("vertices", raw_vertices, {"id": str})
+    _check_items("edges", raw_edges, {"id": str, "color": int, "range": str, "source": str})
+    _check_items("squares", raw_squares, dict.fromkeys(SQUARE_KEYS, str))
 
     vertices = []
     seen_v: set[str] = set()
@@ -269,7 +290,7 @@ def load_skeleton(document: str | dict) -> Skeleton:
         if eid in seen_e:
             raise SkeletonFormatError(f"duplicate edge id {eid!r}")
         seen_e.add(eid)
-        if not isinstance(color, int) or not 1 <= color <= rank:
+        if not 1 <= color <= rank:
             raise SkeletonFormatError(f"edge {eid!r}: color {color!r} out of range 1..{rank}")
         for endpoint in ("range", "source"):
             if item[endpoint] not in seen_v:
@@ -281,7 +302,7 @@ def load_skeleton(document: str | dict) -> Skeleton:
     color = {e.id: e.color for e in edges}
     squares: set[FactorizationRule] = set()
     for item in raw_squares:
-        ids = tuple(item[key] for key in ("first", "second", "swapped_first", "swapped_second"))
+        ids = tuple(item[key] for key in SQUARE_KEYS)
         for eid in ids:
             if eid not in seen_e:
                 raise SkeletonFormatError(f"square references unknown edge {eid!r}")

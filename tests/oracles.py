@@ -10,13 +10,28 @@ The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
 (x, m + n, z), instead of reading the groupoid's composition table, and
 build the groupoid and its cylinders by factorizing and composing paths
 afresh instead of reading the path space's factorization table.
+
+The boundary oracles search every subset of a vertex's paths against the
+pairwise compatibility of `minimal_extension_pairs`, and split paths with
+`vertex_at` / `segment`, instead of reading maximal paths, sources and the
+factorization table.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from kgraphs import paths as pth
 from kgraphs.algebra import AlgebraElement
-from kgraphs.boundary import FinitePathSpace, prepend
+from kgraphs.boundary import (
+    BoundaryCertificate,
+    BoundaryEntry,
+    ExhaustiveSet,
+    FinitePathSpace,
+    PathSpaceElement,
+    classify_vertices,
+    prepend,
+)
 from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement
 from kgraphs.skeleton import Degree, ExactModeError, Skeleton, degree_box
 
@@ -151,8 +166,6 @@ def rank1_boundary(sk: Skeleton) -> set[tuple[str, tuple[str, ...]]]:
     sets are enumerated outright (for rank 1 two chains at a vertex are
     compatible iff one is a prefix of the other).
     """
-    from itertools import combinations
-
     assert sk.rank == 1
 
     def vertex_of(word: tuple[str, ...], start: str, m: int) -> str:
@@ -273,3 +286,75 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
         xm = prepend(sk, mu, el)
         members.append(G.index_of((G.space.index_of(xl.path), m, G.space.index_of(xm.path))))
     return CylinderSet(lam, mu, tuple(sorted(members)))
+
+
+# Boundary membership by the definition: minimal exhaustive sets by a search
+# over all subsets of a vertex's paths, and every tail split afresh.  The
+# references for the transversal search, the factor-table reads of
+# `is_boundary` and the source rule of `boundary_paths`.
+
+
+def subset_search_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
+    """Minimal exhaustive sets, smallest first with superset pruning."""
+    pool = pth.paths_with_range(sk, vertex_id)
+    compatible = [
+        [bool(pth.minimal_extension_pairs(sk, a, b)) for b in pool] for a in pool
+    ]
+    found: list[tuple[int, ...]] = []
+    for size in range(1, len(pool) + 1):
+        for combo in combinations(range(len(pool)), size):
+            if any(set(minimal) <= set(combo) for minimal in found):
+                continue
+            if all(any(compatible[i][j] for j in combo) for i in range(len(pool))):
+                found.append(combo)
+    return tuple(
+        ExhaustiveSet(vertex_id, tuple(pool[i] for i in combo)) for combo in found
+    )
+
+
+def segment_is_boundary(space: FinitePathSpace, x, cache: dict):
+    """`is_boundary` with vertices and tail prefixes from `vertex_at` / `segment`."""
+    el = x if isinstance(x, PathSpaceElement) else PathSpaceElement(x)
+    if not space.is_exact or el.truncated:
+        return None, BoundaryCertificate("undecided_at_bound", ())
+    sk = space.skeleton
+    entries = []
+    p = el.path
+    for m in degree_box(p.degree):
+        v = pth.vertex_at(sk, p, m)
+        if v not in cache:
+            cache[v] = subset_search_minimal_exhaustive_sets(sk, v)
+        for ex_set in cache[v]:
+            witness = None
+            for lam in ex_set.members:
+                if m + lam.degree <= p.degree and pth.segment(sk, p, m, m + lam.degree) == lam:
+                    witness = lam
+                    break
+            entries.append(BoundaryEntry(m, v, ex_set.members, witness))
+            if witness is None:
+                return False, BoundaryCertificate("not_boundary", tuple(entries))
+    return True, BoundaryCertificate("boundary", tuple(entries))
+
+
+def filtered_boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
+    """The elements `segment_is_boundary` accepts."""
+    cache: dict = {}
+    kept = [el for el in space.elements if segment_is_boundary(space, el, cache)[0]]
+    return FinitePathSpace(space.skeleton, "exact", kept, boundary_only=True)
+
+
+def subset_search_boundary_report(space: FinitePathSpace) -> dict:
+    """`boundary_report` built on `segment_is_boundary`."""
+    sk = space.skeleton
+    cache: dict = {}
+    members = []
+    for el in space.elements:
+        verdict, cert = segment_is_boundary(space, el, cache)
+        members.append(
+            {"element": el.to_json(sk), "boundary": verdict, "certificate": cert.to_json()}
+        )
+    return {
+        "classification": classify_vertices(sk).to_json(),
+        "elements": members,
+        "boundary_size": sum(1 for m in members if m["boundary"]),
+    }

@@ -1,0 +1,166 @@
+"""Boundary membership without the subset search, against the search.
+
+`minimal_exhaustive_sets` (minimal transversals of the maximal paths),
+`is_boundary` (reading the factorization table) and `boundary_paths` (the
+source rule) are checked against the subset search, the `segment`-based
+membership test and the `is_boundary` filter kept in `oracles.py`.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+import kgraphs as kg
+from kgraphs.skeleton import Degree
+
+import oracles as orc
+
+
+def tree(rng: random.Random, size: int) -> kg.Skeleton:
+    """A rooted tree: edge t_i runs from vertex i to a random earlier vertex."""
+    return kg.load_skeleton(
+        {
+            "rank": 1,
+            "vertices": [{"id": f"n{i}"} for i in range(size)],
+            "edges": [
+                {"id": f"t{i}", "color": 1, "range": f"n{rng.randrange(i)}", "source": f"n{i}"}
+                for i in range(1, size)
+            ],
+        }
+    )
+
+
+def multigraph(rng: random.Random, size: int) -> kg.Skeleton:
+    """An acyclic 1-graph with 0-2 parallel edges from each vertex to a few earlier ones."""
+    edges = []
+    for s in range(1, size):
+        for r in rng.sample(range(s), min(s, 2)):
+            for copy in range(rng.randrange(3)):
+                edges.append({"id": f"e{s}_{r}_{copy}", "color": 1, "range": f"v{r}", "source": f"v{s}"})
+    return kg.load_skeleton(
+        {"rank": 1, "vertices": [{"id": f"v{i}"} for i in range(size)], "edges": edges}
+    )
+
+
+def product(left: kg.Skeleton, right: kg.Skeleton) -> kg.Skeleton:
+    """The 2-graph left x right: color 1 moves in left, color 2 in right."""
+    def pair(a, b):
+        return f"{a}|{b}"
+
+    edges = [
+        {"id": pair(e.id, w.id), "color": 1, "range": pair(e.range, w.id), "source": pair(e.source, w.id)}
+        for e in left.edges for w in right.vertices
+    ] + [
+        {"id": pair(v.id, f.id), "color": 2, "range": pair(v.id, f.range), "source": pair(v.id, f.source)}
+        for v in left.vertices for f in right.edges
+    ]
+    squares = [
+        {
+            "first": pair(e.id, f.range),
+            "second": pair(e.source, f.id),
+            "swapped_first": pair(e.range, f.id),
+            "swapped_second": pair(e.id, f.source),
+        }
+        for e in left.edges for f in right.edges
+    ]
+    vertices = [{"id": pair(v.id, w.id)} for v in left.vertices for w in right.vertices]
+    return kg.load_skeleton({"rank": 2, "vertices": vertices, "edges": edges, "squares": squares})
+
+
+# Two edges into v.  In the product of this graph with itself, the minimal
+# exhaustive set {f|v, v|f, g|g} at v|v holds two prefixes of the maximal
+# path through f|v and v|f, one of each color.
+FORK = {
+    "rank": 1,
+    "vertices": [{"id": "v"}, {"id": "a"}, {"id": "b"}],
+    "edges": [
+        {"id": "f", "color": 1, "range": "v", "source": "a"},
+        {"id": "g", "color": 1, "range": "v", "source": "b"},
+    ],
+}
+
+# v receives a blue edge from u and a red edge from w; with no blue-red or
+# red-blue two-edge paths there are no squares, and v is not locally convex.
+NOT_LOCALLY_CONVEX = {
+    "rank": 2,
+    "vertices": [{"id": "u"}, {"id": "v"}, {"id": "w"}],
+    "edges": [
+        {"id": "f", "color": 1, "range": "v", "source": "u"},
+        {"id": "g", "color": 2, "range": "v", "source": "w"},
+    ],
+}
+
+
+def instances():
+    rng = random.Random(2005)
+    out = [(f"tree-{i}", tree(rng, rng.randrange(1, 12))) for i in range(24)]
+    out += [(f"multigraph-{i}", multigraph(rng, rng.randrange(2, 6))) for i in range(16)]
+    for shape in ((1, 1), (2, 2), (2, 3), (1, 1, 1)):
+        out.append((f"grid-{shape}", kg.grid_skeleton(len(shape), Degree(shape)).skeleton))
+    out.append(("not-locally-convex", kg.load_skeleton(NOT_LOCALLY_CONVEX)))
+    fork = kg.load_skeleton(FORK)
+    out.append(("fork-squared", product(fork, fork)))
+    for i in range(8):
+        left, right = tree(rng, rng.randrange(1, 5)), tree(rng, rng.randrange(1, 5))
+        out.append((f"tree-product-{i}", product(left, right)))
+    return out
+
+
+INSTANCES = instances()
+
+
+@pytest.fixture(params=[sk for _, sk in INSTANCES], ids=[name for name, _ in INSTANCES])
+def skeleton(request):
+    return request.param
+
+
+@pytest.fixture(params=["b", "e", "edgeless"])
+def bundled(request):
+    name = request.param
+    return request.getfixturevalue(name if name == "edgeless" else f"instance_{name}")
+
+
+def check_against_the_subset_search(sk: kg.Skeleton) -> None:
+    assert kg.validate(sk)[0].passed
+    for v in sk.vertices:
+        want = orc.subset_search_minimal_exhaustive_sets(sk, v.id)
+        assert kg.minimal_exhaustive_sets(sk, v.id) == want, v.id
+    space = kg.enumerate_path_space(sk)
+    report = json.dumps(kg.boundary.boundary_report(space), sort_keys=True)
+    assert report == json.dumps(orc.subset_search_boundary_report(space), sort_keys=True)
+    got = kg.boundary_paths(space)
+    sources = set(kg.classify_vertices(sk).sources)
+    by_source_rule = [el for el in space if kg.source(sk, el.path) in sources]
+    assert got.elements == orc.filtered_boundary_paths(space).elements == tuple(by_source_rule)
+    assert got.boundary_only and got.is_exact
+    for el in space:
+        assert kg.is_boundary(space, el.path) == kg.is_boundary(space, el)
+
+
+def test_generated_instances_match_the_subset_search(skeleton):
+    check_against_the_subset_search(skeleton)
+
+
+def test_bundled_instances_match_the_subset_search(bundled):
+    check_against_the_subset_search(bundled)
+
+
+def test_two_prefixes_of_one_maximal_path_in_a_minimal_set():
+    sk = product(kg.load_skeleton(FORK), kg.load_skeleton(FORK))
+    want = {kg.edge_path(sk, "f|v"), kg.edge_path(sk, "v|f"), kg.path_from_word(sk, ["g|v", "b|g"])}
+    assert want in [set(s.members) for s in kg.minimal_exhaustive_sets(sk, "v|v")]
+
+
+def test_not_locally_convex_minimal_sets_and_boundary():
+    sk = kg.load_skeleton(NOT_LOCALLY_CONVEX)
+    f, g = kg.edge_path(sk, "f"), kg.edge_path(sk, "g")
+    v = kg.vertex_path(sk, "v")
+    assert [s.members for s in kg.minimal_exhaustive_sets(sk, "v")] == [(v,), (f, g)]
+    space = kg.enumerate_path_space(sk)
+    assert {el.path for el in kg.boundary_paths(space)} == {
+        f, g, kg.vertex_path(sk, "u"), kg.vertex_path(sk, "w")
+    }
+

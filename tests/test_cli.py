@@ -97,6 +97,26 @@ def test_boundary_command_two_vertex(capsys):
     assert payload["classification"]["regular"] == ["v"]
 
 
+def test_boundary_command_builds_text_lines_only_for_text(capsys, monkeypatch):
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    code, out, _ = run(capsys, "boundary", str(instance_path("b")), "--format", "text")
+    assert code == 0
+    assert out == (
+        "vertex classes: regular=['v']\n"
+        '  {"blocks": [["e"]], "range": "v"}: boundary\n'
+        '  {"blocks": [[]], "range": "v"}: interior\n'
+        '  {"blocks": [[]], "range": "w"}: boundary\n'
+        "boundary size: 2\n"
+    )
+    text_calls = len(calls)
+    calls.clear()
+    code, out, _ = run(capsys, "boundary", str(instance_path("b")))
+    assert code == 0 and json.loads(out)["boundary_size"] == 2
+    # JSON output dumps the report once and none of the three element lines.
+    assert text_calls - len(calls) == 3 - 1
+
+
 def test_boundary_command_rejects_cycles_without_bound(capsys):
     code, _, err = run(capsys, "boundary", str(instance_path("a")))
     assert code == 2
@@ -201,3 +221,52 @@ def test_exhaustive_unknown_vertex_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: unknown vertex 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--degree", "1,1"],
+        ["lambda-min", "--left", "b1", "--right", "r"],
+        ["exhaustive", "--vertex", "u", "--members", "u"],
+    ],
+    ids=["paths", "lambda-min", "exhaustive"],
+)
+def test_path_commands_refuse_an_invalid_instance(capsys, argv):
+    code, out, err = run(capsys, argv[0], str(instance_path("d")), *argv[1:])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "instance fails validation"
+    assert ["b2", "r"] in [f["items"] for f in payload["squares"]["failures"]]
+    assert err == ""
+
+
+LINE = {
+    "rank": 1,
+    "vertices": [{"id": "u"}, {"id": "v"}],
+    "edges": [{"id": "e", "color": 1, "range": "u", "source": "v"}],
+}
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"edges": [{"id": "e", "range": "u", "source": "v"}]}, "edges[0] is missing key 'color'"),
+        ({"vertices": ["u", "v"]}, "vertices[0] must be an object, got 'u'"),
+        ({"rank": True}, "rank must be a positive integer, got True"),
+        ({"edges": [{"id": "e", "color": True, "range": "u", "source": "v"}]}, "edges[0].color must be int, got True"),
+        ({"vertices": [{"id": "u"}, {"id": 2}]}, "vertices[1].id must be str, got 2"),
+        ({"edges": {"id": "e"}}, "edges must be a list"),
+        ({"squares": [{"first": "e", "second": "e", "swapped_first": "e"}]}, "squares[0] is missing key 'swapped_second'"),
+    ],
+    ids=["no-color", "string-vertices", "bool-rank", "bool-color", "int-id", "edges-object", "short-square"],
+)
+def test_schema_errors_are_one_line_usage_errors(tmp_path, capsys, patch, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**LINE, **patch}), encoding="utf-8")
+    for command in ("validate", "boundary"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad instance: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
