@@ -405,9 +405,6 @@ class RegularRepresentation:
                 mat[row, col] = c
         return mat
 
-    def represent(self, f: AlgebraElement) -> dict[int, np.ndarray]:
-        return {u: self.matrix(f, u) for u in self.bases}
-
 
 def algebra_dimension(generators) -> int:
     """Dimension of the smallest *-subalgebra containing the generators.

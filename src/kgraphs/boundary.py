@@ -163,20 +163,11 @@ class PathSpaceElement:
             for c, unb in zip(self.path.degree.coords, self.unbounded)
         )
 
-    def prefix_table(self, sk: Skeleton) -> dict[Degree, Path]:
-        return {
-            m: pth.factorize(sk, self.path, m)[0] for m in degree_box(self.path.degree)
-        }
-
-    def to_json(self, sk: Skeleton) -> dict:
+    def to_json(self, factors: dict[tuple[int, ...], tuple[Path, Path]]) -> dict:
+        """Serialize, given the element's row of its space's `factors` table."""
         out: dict = {
             "degree": [c if c != float("inf") else "inf" for c in self.extended_degree],
-            "prefixes": [
-                [list(m.coords), p.to_json()]
-                for m, p in sorted(
-                    self.prefix_table(sk).items(), key=lambda kv: kv[0].coords
-                )
-            ],
+            "prefixes": [[list(m), head.to_json()] for m, (head, _) in sorted(factors.items())],
             "truncated": self.truncated,
         }
         if self.truncated:
@@ -192,14 +183,12 @@ class FinitePathSpace:
         skeleton: Skeleton,
         mode: str,
         elements,
-        bound: Degree | None = None,
         boundary_only: bool = False,
     ):
         if mode not in ("exact", "truncated"):
             raise ValueError(f"mode must be 'exact' or 'truncated', got {mode!r}")
         self.skeleton = skeleton
         self.mode = mode
-        self.bound = bound
         self.elements: tuple[PathSpaceElement, ...] = tuple(elements)
         self.boundary_only = boundary_only
         self._index = {el.path: i for i, el in enumerate(self.elements)}
@@ -273,7 +262,7 @@ def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePat
         {p for n in degree_box(bound) for p in pth.all_paths(sk, n)},
         key=pth.path_sort_key,
     )
-    return FinitePathSpace(sk, "truncated", [_truncated_element(sk, p) for p in pool], bound)
+    return FinitePathSpace(sk, "truncated", [_truncated_element(sk, p) for p in pool])
 
 
 def shift(sk: Skeleton, x: PathSpaceElement, m: Degree) -> PathSpaceElement:
@@ -371,11 +360,11 @@ def boundary_report(space: FinitePathSpace) -> dict:
     sk = space.skeleton
     cache: dict = {}
     members = []
-    for el in space.elements:
+    for el, row in zip(space.elements, space.factors):
         verdict, cert = is_boundary(space, el, cache)
         members.append(
             {
-                "element": el.to_json(sk),
+                "element": el.to_json(row),
                 "boundary": verdict,
                 "certificate": cert.to_json(),
             }

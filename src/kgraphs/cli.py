@@ -1,16 +1,28 @@
 """Command-line front end: load instances, run checks, emit reports.
 
-Exit codes: 0 all checks passed, 1 a validation or verification failed,
-2 usage or I/O trouble.  JSON output is deterministic for a fixed
-(instance, options, seed) triple.
+Every subcommand takes an instance file and only the options it reads:
+
+    validate    --format --out
+    paths       --degree --vertex --format --out
+    lambda-min  --left --right --out
+    exhaustive  --vertex --members --minimal --bound --out
+    boundary    --bound --format --out
+    groupoid    --bound --boundary --out
+    verify      --samples --tol --seed --format --out
+    export      --out
+
+Any other option is a usage error.  Exit codes: 0 all checks passed, 1 a
+validation or verification failed, 2 usage or I/O trouble.  JSON output is
+deterministic for a fixed (instance, options, seed) triple.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import algebra as alg
 from . import boundary as bnd
@@ -23,25 +35,9 @@ from .skeleton import (
     SkeletonFormatError,
     export_dot,
     is_acyclic,
+    load_skeleton,
     validate,
 )
-
-
-@dataclass
-class RunConfig:
-    instance: str
-    bound: Degree | None = None
-    samples: int = 100
-    tolerance: float = 1e-9
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
 
 
 def _parse_degree(text: str) -> Degree:
@@ -51,33 +47,47 @@ def _parse_degree(text: str) -> Degree:
         raise argparse.ArgumentTypeError(f"bad degree {text!r}: {exc}") from exc
 
 
-def _load(config: RunConfig) -> Skeleton:
-    from .skeleton import load_skeleton
+def _sample_count(text: str) -> int:
+    if (samples := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"samples must be at least 1, got {samples}")
+    return samples
 
-    with open(config.instance, encoding="utf-8") as fh:
+
+def _tolerance(text: str) -> float:
+    if not (math.isfinite(tol := float(text)) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
+def _load(args: argparse.Namespace) -> Skeleton:
+    with open(args.instance, encoding="utf-8") as fh:
         return load_skeleton(fh.read())
 
 
-def _emit(config: RunConfig, payload, text_lines=None) -> None:
-    if config.format == "json" or text_lines is None:
-        rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        rendered = "\n".join(text_lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _write(args: argparse.Namespace, rendered: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
 
 
-def _load_valid(config: RunConfig) -> Skeleton | None:
+def _emit(args: argparse.Namespace, payload, text_lines=None) -> None:
+    """Write the payload as JSON, or the text lines under `--format text`."""
+    if text_lines is None or args.format == "json":
+        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        _write(args, "\n".join(text_lines) + "\n")
+
+
+def _load_valid(args: argparse.Namespace) -> Skeleton | None:
     """The instance, or None once its validation failures are emitted."""
-    sk = _load(config)
+    sk = _load(args)
     squares, hexagons = validate(sk)
     if squares.passed and hexagons.passed:
         return sk
     failures = {"squares": squares.to_json(), "associativity": hexagons.to_json()}
-    _emit(config, {"error": "instance fails validation", **failures})
+    _emit(args, {"error": "instance fails validation", **failures})
     return None
 
 
@@ -92,11 +102,11 @@ def _parse_path(sk: Skeleton, text: str) -> pth.Path:
     return pth.path_from_word(sk, word)
 
 
-def cmd_validate(config: RunConfig) -> int:
-    sk = _load(config)
+def cmd_validate(args: argparse.Namespace) -> int:
+    sk = _load(args)
     squares, hexagons = validate(sk)
     payload = {
-        "instance": config.instance,
+        "instance": args.instance,
         "squares": squares.to_json(),
         "associativity": hexagons.to_json(),
         "acyclic": is_acyclic(sk),
@@ -109,41 +119,41 @@ def cmd_validate(config: RunConfig) -> int:
     for report in (squares, hexagons):
         for f in report.failures:
             lines.append(f"  {f.kind}: {' '.join(f.items)} {f.message}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
-def cmd_paths(config: RunConfig, degree: Degree, vertex: str | None) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_paths(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
+    degree = args.degree
     found = (
-        pth.paths_from(sk, vertex, degree) if vertex else pth.all_paths(sk, degree)
+        pth.paths_from(sk, args.vertex, degree) if args.vertex else pth.all_paths(sk, degree)
     )
     payload = {"degree": list(degree.coords), "paths": [p.to_json() for p in found]}
-    _emit(config, payload, [json.dumps(p.to_json(), sort_keys=True) for p in found])
+    _emit(args, payload, [json.dumps(p.to_json(), sort_keys=True) for p in found])
     return 0
 
 
-def cmd_lambda_min(config: RunConfig, left: str, right: str) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_lambda_min(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
-    a, b = _parse_path(sk, left), _parse_path(sk, right)
+    a, b = _parse_path(sk, args.left), _parse_path(sk, args.right)
     pairs = pth.minimal_extension_pairs(sk, a, b)
     payload = {
         "left": a.to_json(),
         "right": b.to_json(),
         "pairs": [[p.alpha.to_json(), p.beta.to_json()] for p in pairs],
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_exhaustive(
-    config: RunConfig, vertex: str, members: str | None, minimal: bool
-) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_exhaustive(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
-    if minimal:
+    vertex, members = args.vertex, args.members
+    if args.minimal:
         sets = bnd.minimal_exhaustive_sets(sk, vertex)
         payload = {
             "vertex": vertex,
@@ -151,55 +161,55 @@ def cmd_exhaustive(
                 [p.to_json() for p in s.members] for s in sets
             ],
         }
-        _emit(config, payload)
+        _emit(args, payload)
         return 0
     if members is None:
         raise ValueError("--members is required unless --minimal is given")
     member_paths = [
         _parse_path(sk, tok) for tok in members.split(";") if tok.strip()
     ]
-    result = bnd.is_exhaustive(sk, vertex, member_paths, bound=config.bound)
+    result = bnd.is_exhaustive(sk, vertex, member_paths, bound=args.bound)
     payload = {
         "vertex": vertex,
         "status": result.status,
         "witness": None if result.witness is None else result.witness.to_json(),
         "bound": None if result.bound is None else list(result.bound.coords),
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if result.status != "not_exhaustive" else 1
 
 
-def cmd_boundary(config: RunConfig) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_boundary(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
-    space = bnd.enumerate_path_space(sk, bound=config.bound)
+    space = bnd.enumerate_path_space(sk, bound=args.bound)
     if space.is_exact:
         payload = bnd.boundary_report(space)
         lines = None
-        if config.format == "text":
+        if args.format == "text":
             lines = [f"vertex classes: regular={list(payload['classification']['regular'])}"]
             for member in payload["elements"]:
                 path = json.dumps(member["element"]["prefixes"][-1][1], sort_keys=True)
                 lines.append(f"  {path}: {'boundary' if member['boundary'] else 'interior'}")
             lines.append(f"boundary size: {payload['boundary_size']}")
-        _emit(config, payload, lines)
+        _emit(args, payload, lines)
         return 0
     payload = {
         "classification": bnd.classify_vertices(sk).to_json(),
         "mode": "truncated",
-        "bound": list(config.bound.coords),
-        "elements": [el.to_json(sk) for el in space.elements],
+        "bound": list(args.bound.coords),
+        "elements": [el.to_json(row) for el, row in zip(space.elements, space.factors)],
         "boundary_size": None,
         "note": "boundary membership is undecided at a truncation bound",
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_groupoid(config: RunConfig, boundary_only: bool) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_groupoid(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
-    space = bnd.enumerate_path_space(sk, bound=config.bound)
+    space = bnd.enumerate_path_space(sk, bound=args.bound)
     G = gpd.build_path_groupoid(space)
     payload: dict = {"path_groupoid_size": len(G), "complete": G.complete}
     reports_ok = True
@@ -217,23 +227,23 @@ def cmd_groupoid(config: RunConfig, boundary_only: bool) -> int:
                 "isotropy": {
                     str(u): len(gpd.isotropy(G, u)) for u in G.units()
                 },
-                "groupoid": (Gb if boundary_only else G).to_json(),
+                "groupoid": (Gb if args.boundary else G).to_json(),
             }
         )
     else:
         payload["groupoid"] = G.to_json()
         payload["note"] = "truncated build: element list is not complete"
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if reports_ok else 1
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if (sk := _load_valid(config)) is None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if (sk := _load_valid(args)) is None:
         return 1
     space = bnd.enumerate_path_space(sk)
     G = gpd.build_path_groupoid(space)
     Gb = gpd.build_boundary_groupoid(space)
-    samples, tol, seed = config.samples, config.tolerance, config.seed
+    samples, tol, seed = args.samples, args.tol, args.seed
     reports: list[alg.RelationReport] = []
     for name, groupoid_obj in (("full", G), ("boundary", Gb)):
         for rep in alg.verify_algebra_identities(groupoid_obj, samples, tol, seed):
@@ -266,7 +276,7 @@ def cmd_verify(config: RunConfig) -> int:
         for r in reports
     ]
     lines.append(f"overall: {'pass' if ok else 'FAIL'}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
@@ -274,14 +284,8 @@ def _tag(report: alg.RelationReport, groupoid_name: str) -> alg.RelationReport:
     return replace(report, identity=f"{groupoid_name}.{report.identity}")
 
 
-def cmd_export(config: RunConfig) -> int:
-    sk = _load(config)
-    rendered = export_dot(sk)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+def cmd_export(args: argparse.Namespace) -> int:
+    _write(args, export_dot(_load(args)))
     return 0
 
 
@@ -291,77 +295,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate, explore, and verify finite higher-rank graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--bound": {"type": _parse_degree, "default": None, "help": "truncation bound, e.g. 2,2"},
+        "--samples": {"type": _sample_count, "default": 100},
+        "--tol": {"type": _tolerance, "default": 1e-9},
+        "--seed": {"type": int, "default": 0},
+        "--format": {"choices": ("json", "text"), "default": "json"},
+    }
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, run, about: str, *options: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--bound", type=_parse_degree, default=None,
-                       help="truncation bound, e.g. 2,2")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        for option in options:
+            p.add_argument(option, **shared[option])
         p.add_argument("--out", default=None, help="write output to a file")
+        return p
 
-    common(sub.add_parser("validate", help="check squares and associativity"))
-    p_paths = sub.add_parser("paths", help="list paths of a degree")
-    common(p_paths)
+    command("validate", cmd_validate, "check squares and associativity", "--format")
+    p_paths = command("paths", cmd_paths, "list paths of a degree", "--format")
     p_paths.add_argument("--degree", type=_parse_degree, required=True)
     p_paths.add_argument("--vertex", default=None)
-    p_lmin = sub.add_parser("lambda-min", help="minimal common extension pairs")
-    common(p_lmin)
+    p_lmin = command("lambda-min", cmd_lambda_min, "minimal common extension pairs")
     p_lmin.add_argument("--left", required=True, help="path literal")
     p_lmin.add_argument("--right", required=True, help="path literal")
-    p_ex = sub.add_parser("exhaustive", help="exhaustiveness of a path set")
-    common(p_ex)
+    p_ex = command("exhaustive", cmd_exhaustive, "exhaustiveness of a path set", "--bound")
     p_ex.add_argument("--vertex", required=True)
     p_ex.add_argument("--members", default=None, help="semicolon-separated path literals")
     p_ex.add_argument("--minimal", action="store_true", help="list minimal exhaustive sets")
-    common(sub.add_parser("boundary", help="boundary-path listing"))
-    p_gpd = sub.add_parser("groupoid", help="build and verify the path groupoid")
-    common(p_gpd)
+    command("boundary", cmd_boundary, "boundary-path listing", "--bound", "--format")
+    p_gpd = command("groupoid", cmd_groupoid, "build and verify the path groupoid", "--bound")
     p_gpd.add_argument("--boundary", action="store_true", help="emit the boundary groupoid")
-    common(sub.add_parser("verify", help="run the algebra verification suites"))
-    common(sub.add_parser("export", help="emit DOT"))
+    command(
+        "verify", cmd_verify, "run the algebra verification suites",
+        "--samples", "--tol", "--seed", "--format",
+    )
+    command("export", cmd_export, "emit DOT")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        instance=args.instance,
-        bound=args.bound,
-        samples=args.samples,
-        tolerance=args.tol,
-        seed=args.seed,
-        format=args.format,
-        out=args.out,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "paths":
-            return cmd_paths(config, args.degree, args.vertex)
-        if args.command == "lambda-min":
-            return cmd_lambda_min(config, args.left, args.right)
-        if args.command == "exhaustive":
-            return cmd_exhaustive(config, args.vertex, args.members, args.minimal)
-        if args.command == "boundary":
-            return cmd_boundary(config)
-        if args.command == "groupoid":
-            return cmd_groupoid(config, args.boundary)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "export":
-            return cmd_export(config)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except SkeletonFormatError as exc:
         print(f"error: bad instance: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ExactModeError, ValueError) as exc:
+    except (OSError, ExactModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -198,7 +198,9 @@ def isotropy(G: FiniteGroupoid, unit: int) -> tuple[GroupoidElement, ...]:
 
 
 @dataclass(frozen=True)
-class GroupoidAxiomReport:
+class GroupoidReport:
+    """Outcome of the axiom or the etale check: failure messages, if any."""
+
     passed: bool
     failures: tuple[str, ...]
 
@@ -206,7 +208,7 @@ class GroupoidAxiomReport:
         return {"passed": self.passed, "failures": list(self.failures)}
 
 
-def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
+def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
     """Closure, units, inverses, witness validity, and associativity."""
     failures: list[str] = []
     factors = G.space.factors
@@ -252,7 +254,7 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidAxiomReport:
                             "associativity fails at "
                             f"{G.elements[i1].label()},{G.elements[i2].label()},{G.elements[i3].label()}"
                         )
-    return GroupoidAxiomReport(not failures, tuple(failures))
+    return GroupoidReport(not failures, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -282,16 +284,7 @@ def cylinder(G: FiniteGroupoid, lam: Path, mu: Path) -> CylinderSet:
     return CylinderSet(lam, mu, tuple(sorted(members)))
 
 
-@dataclass(frozen=True)
-class EtaleReport:
-    passed: bool
-    failures: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "failures": list(self.failures)}
-
-
-def verify_etale(G: FiniteGroupoid) -> EtaleReport:
+def verify_etale(G: FiniteGroupoid) -> GroupoidReport:
     """Cylinders cover G, are bisections, and unit cylinders give the units.
 
     These are the finite shadows of the groupoid being etale: every element
@@ -325,4 +318,4 @@ def verify_etale(G: FiniteGroupoid) -> EtaleReport:
             unit_union.update((cylinders.get((vp, vp)) or cylinder(G, vp, vp)).members)
     if unit_union != set(G.unit_index.values()):
         failures.append("unit space differs from the union of vertex cylinders")
-    return EtaleReport(not failures, tuple(failures))
+    return GroupoidReport(not failures, tuple(failures))

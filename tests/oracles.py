@@ -348,10 +348,10 @@ def subset_search_boundary_report(space: FinitePathSpace) -> dict:
     sk = space.skeleton
     cache: dict = {}
     members = []
-    for el in space.elements:
+    for el, row in zip(space.elements, space.factors):
         verdict, cert = segment_is_boundary(space, el, cache)
         members.append(
-            {"element": el.to_json(sk), "boundary": verdict, "certificate": cert.to_json()}
+            {"element": el.to_json(row), "boundary": verdict, "certificate": cert.to_json()}
         )
     return {
         "classification": classify_vertices(sk).to_json(),

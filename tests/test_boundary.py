@@ -178,13 +178,13 @@ def test_truncated_markers_honest_on_acyclic(instance_e):
 
 def test_element_prefix_tables_cohere(instance_e):
     space = kg.enumerate_path_space(instance_e)
-    for el in space:
-        table = el.prefix_table(instance_e)
-        for p, prefix in table.items():
-            assert prefix.degree == p
-            for q, longer in table.items():
-                if p <= q:
-                    assert kg.factorize(instance_e, longer, p)[0] == prefix
+    for el, row in zip(space, space.factors):
+        prefixes = el.to_json(row)["prefixes"]
+        assert [m for m, _ in prefixes] == [list(m.coords) for m in degree_box(el.degree)]
+        for m, prefix in prefixes:
+            head, tail = kg.factorize(instance_e, el.path, Degree(tuple(m)))
+            assert prefix == head.to_json() and head.degree.coords == tuple(m)
+            assert row[tuple(m)] == (head, tail)
 
 
 # --- shift and prepend -------------------------------------------------

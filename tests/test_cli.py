@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from kgraphs.cli import main
+from kgraphs.cli import build_parser, main
 
 from conftest import instance_path
 
@@ -270,3 +271,74 @@ def test_schema_errors_are_one_line_usage_errors(tmp_path, capsys, patch, messag
         assert out == ""
         assert err.startswith(f"error: bad instance: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Each subcommand's options besides the instance, as the README table lists them.
+OPTIONS = {
+    "validate": {"--format", "--out"},
+    "paths": {"--degree", "--vertex", "--format", "--out"},
+    "lambda-min": {"--left", "--right", "--out"},
+    "exhaustive": {"--vertex", "--members", "--minimal", "--bound", "--out"},
+    "boundary": {"--bound", "--format", "--out"},
+    "groupoid": {"--bound", "--boundary", "--out"},
+    "verify": {"--samples", "--tol", "--seed", "--format", "--out"},
+    "export": {"--out"},
+}
+REQUIRED = {
+    "paths": ["--degree", "1"],
+    "lambda-min": ["--left", "e", "--right", "w"],
+    "exhaustive": ["--vertex", "v", "--minimal"],
+}
+VALUES = {"--bound": "1", "--samples": "10", "--tol": "1e-6", "--seed": "1", "--format": "text"}
+DROPPED = [
+    (command, option) for command in OPTIONS for option in VALUES if option not in OPTIONS[command]
+]
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in commands.items()
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 26
+    assert len(DROPPED) == 30
+
+
+@pytest.mark.parametrize("command, option", DROPPED, ids=[f"{c}{o}" for c, o in DROPPED])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, command, option):
+    argv = [command, str(instance_path("b")), *REQUIRED.get(command, []), option, VALUES[option]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {VALUES[option]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--samples", "0", "samples must be at least 1, got 0"),
+        ("--tol", "-1", "tolerance must be finite and positive, got '-1'"),
+        ("--tol", "nan", "tolerance must be finite and positive, got 'nan'"),
+        ("--tol", "inf", "tolerance must be finite and positive, got 'inf'"),
+    ],
+    ids=["samples-0", "tol-negative", "tol-nan", "tol-inf"],
+)
+def test_out_of_range_verify_options_are_usage_errors(capsys, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(instance_path("b")), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.endswith(f"error: argument {option}: {message}\n")
+
+
+@pytest.mark.parametrize("where", ["instance", "out"])
+def test_a_directory_path_is_a_one_line_usage_error(tmp_path, capsys, where):
+    paths = [str(tmp_path)] if where == "instance" else [str(instance_path("b")), "--out", str(tmp_path)]
+    code, out, err = run(capsys, "validate", *paths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
