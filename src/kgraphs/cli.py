@@ -233,6 +233,7 @@ def cmd_groupoid(args: argparse.Namespace) -> int:
     else:
         payload["groupoid"] = G.to_json()
         payload["note"] = "truncated build: element list is not complete"
+    del space, G  # freed first: the indented JSON encoder holds ~8 bytes per report byte
     _emit(args, payload)
     return 0 if reports_ok else 1
 

@@ -38,12 +38,11 @@ class GroupoidElement:
 class FiniteGroupoid:
     """An enumerated groupoid over a finite path space."""
 
-    def __init__(self, space: FinitePathSpace, elements, complete: bool = True):
+    def __init__(self, space: FinitePathSpace, elements):
         self.space = space
         self.elements: tuple[GroupoidElement, ...] = tuple(
             sorted(elements, key=lambda g: g.label())
         )
-        self.complete = complete
         self._index: dict[tuple[int, tuple[int, ...], int], int] = {
             g.label(): i for i, g in enumerate(self.elements)
         }
@@ -56,6 +55,11 @@ class FiniteGroupoid:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @property
+    def complete(self) -> bool:
+        """Only an exact space shows every witness, so only there is the list whole."""
+        return self.space.is_exact
 
     @property
     def rank(self) -> int:
@@ -131,7 +135,7 @@ def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     A join: each (x, p) is bucketed under its tail, pairs within a bucket are
     elements, and the least p is kept as the witness.  On an exact space this
     is the whole path groupoid.  On a truncated space only witnesses within
-    the recorded prefixes are visible, so the result carries complete=False.
+    the recorded prefixes are visible, so the result is not `complete`.
     """
     buckets: dict[Path, list[tuple[int, tuple[int, ...]]]] = {}
     for i, row in enumerate(space.factors):
@@ -148,7 +152,7 @@ def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
         GroupoidElement(x, m, y, witness=(Degree(p), Degree(q)))
         for (x, m, y), (p, q) in found.items()
     ]
-    return FiniteGroupoid(space, elements, complete=space.is_exact)
+    return FiniteGroupoid(space, elements)
 
 
 def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:

@@ -16,6 +16,19 @@ def instance_path(name: str) -> Path:
     return INSTANCES / f"instance_{name}.json"
 
 
+def line_document(n: int) -> dict:
+    """The rank-1 line v0 <- v1 <- ... <- vn (edge e_i has range v_{i-1})."""
+    return {
+        "rank": 1,
+        "vertices": [{"id": f"v{i}"} for i in range(n + 1)],
+        "edges": [
+            {"id": f"e{i}", "color": 1, "range": f"v{i - 1}", "source": f"v{i}"}
+            for i in range(1, n + 1)
+        ],
+        "squares": [],
+    }
+
+
 def load_instance(name: str) -> kg.Skeleton:
     return kg.load_skeleton(instance_path(name).read_text(encoding="utf-8"))
 

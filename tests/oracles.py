@@ -242,6 +242,43 @@ def label_involution(f: AlgebraElement) -> AlgebraElement:
     )
 
 
+# Coefficient-by-coefficient loops in plain Python over the nonzero entries:
+# the references for the array arithmetic of `AlgebraElement`, `i_norm` and
+# `gauge_automorphism` (Python's complex product and abs(complex)).
+
+
+def loop_scale(f: AlgebraElement, c: complex) -> AlgebraElement:
+    return AlgebraElement(f.groupoid, {i: c * v for i, v in f.coefficients.items()})
+
+
+def loop_max_abs(f: AlgebraElement) -> float:
+    return max((abs(c) for c in f.coefficients.values()), default=0.0)
+
+
+def loop_i_norm(f: AlgebraElement) -> float:
+    """Max over units of the larger fiberwise l1 sum, summed in ascending index order."""
+    G = f.groupoid
+    by_range: dict[int, float] = {}
+    by_source: dict[int, float] = {}
+    for i, c in f.coefficients.items():
+        g = G.elements[i]
+        by_range[g.x] = by_range.get(g.x, 0.0) + abs(c)
+        by_source[g.y] = by_source.get(g.y, 0.0) + abs(c)
+    return max(list(by_range.values()) + list(by_source.values()), default=0.0)
+
+
+def loop_gauge_automorphism(f: AlgebraElement, ts: tuple[complex, ...]) -> AlgebraElement:
+    """Scale the coefficient at (x, m, y) by t^m, negative powers through the conjugate."""
+    G = f.groupoid
+    out: dict[int, complex] = {}
+    for i, coeff in f.coefficients.items():
+        scale = 1 + 0j
+        for base, power in zip(ts, G.elements[i].m):
+            scale *= base.conjugate() ** (-power) if power < 0 else base**power
+        out[i] = scale * coeff
+    return AlgebraElement(G, out)
+
+
 # The groupoid and its cylinders by the definition: compare every tail of x
 # with every tail of y, and prepend to every space element.  References for
 # the tail join and the table lookups of `kgraphs.groupoid`.
@@ -267,7 +304,7 @@ def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
                     if label not in found or wit[0].coords < found[label][0].coords:
                         found[label] = wit
     elements = [GroupoidElement(x, m, y, witness=found[(x, m, y)]) for (x, m, y) in found]
-    return FiniteGroupoid(space, elements, complete=space.is_exact)
+    return FiniteGroupoid(space, elements)
 
 
 def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:

@@ -526,4 +526,3 @@ def test_serialization_round_trip(setup_b):
     assert len(row) == 1
     x, m, y, re, im = row[0]
     assert m == [1] and re == 1.0 and im == -2.0
-    assert AlgebraElement.from_vector(G, f.to_vector()) == f

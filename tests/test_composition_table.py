@@ -1,6 +1,13 @@
-"""The composition table of `FiniteGroupoid` against label arithmetic."""
+"""The composition table of `FiniteGroupoid` against label arithmetic.
+
+The array arithmetic of `kgraphs.algebra` must equal the label and
+coefficient-loop oracles bit for bit, not up to a tolerance.
+"""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +18,8 @@ from kgraphs.algebra import AlgebraElement
 from kgraphs.groupoid import FiniteGroupoid
 from kgraphs.skeleton import Degree
 
+import oracles as orc
+from conftest import line_document
 from oracles import label_composite, label_convolve, label_involution, label_inverse
 
 
@@ -22,11 +31,27 @@ def groupoids(sk):
 @pytest.fixture(scope="module")
 def exact_groupoids(instance_b, instance_e):
     grid = kg.grid_skeleton(2, Degree((2, 2))).skeleton
+    line = kg.load_skeleton(line_document(6))
     return {
         f"{name}-{part}": G
-        for name, sk in (("b", instance_b), ("e", instance_e), ("grid", grid))
+        for name, sk in (("b", instance_b), ("e", instance_e), ("grid", grid), ("line-6", line))
         for part, G in zip(("full", "boundary"), groupoids(sk))
     }
+
+
+def with_zeros(rng, f: AlgebraElement) -> AlgebraElement:
+    """f with about half its entries set to an explicit zero, of either sign."""
+    values = f.values.copy()
+    zeros = rng.random(len(values)) < 0.5
+    values[zeros] = rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)], zeros.sum())
+    return AlgebraElement(f.groupoid, values)
+
+
+def sample_elements(rng, G) -> list[AlgebraElement]:
+    """Dense elements, dense elements with explicit zeros, and a spread of deltas."""
+    dense = [alg.random_algebra_element(rng, G) for _ in range(3)]
+    deltas = [AlgebraElement.delta(G, g.label(), complex(*rng.standard_normal(2))) for g in G]
+    return dense + [with_zeros(rng, f) for f in dense] + deltas[:: max(1, len(deltas) // 8)]
 
 
 def table_matches_labels(G):
@@ -66,6 +91,7 @@ def test_convolve_and_involution_equal_the_label_oracle_exactly(exact_groupoids)
     rng = np.random.default_rng(11)
     for G in exact_groupoids.values():
         dense = [alg.random_algebra_element(rng, G) for _ in range(4)]
+        dense.append(with_zeros(rng, dense[0]))
         deltas = [AlgebraElement.delta(G, g.label(), complex(*rng.standard_normal(2))) for g in G.elements]
         for f in dense + deltas[:: max(1, len(deltas) // 12)]:
             assert kg.involution(f) == label_involution(f)
@@ -78,8 +104,62 @@ def test_convolve_and_involution_equal_the_label_oracle_exactly(exact_groupoids)
                     assert kg.convolve(f, g) == label_convolve(f, g)
 
 
-def test_dropped_element_is_a_missing_composite(instance_e):
+def test_pairs_list_the_table_ascending(exact_groupoids):
+    for G in exact_groupoids.values():
+        a, b, ab = alg.index_arrays(G).pairs
+        rows = [(ia, ib, iab) for ia, row in enumerate(G.successors) for ib, iab in row.items()]
+        assert list(zip(a.tolist(), b.tolist(), ab.tolist())) == rows
+        assert rows == sorted(rows)
+
+
+def test_index_arrays_are_built_once_per_groupoid_and_let_it_go(instance_b):
+    G, _ = groupoids(instance_b)
+    arrays = alg.index_arrays(G)
+    assert alg.index_arrays(G) is arrays
+    assert arrays.x.tolist() == [g.x for g in G] and arrays.y.tolist() == [g.y for g in G]
+    assert [arrays.levels[j] for j in arrays.level.tolist()] == [g.m for g in G]
+    alive = weakref.ref(G)
+    del G
+    gc.collect()
+    assert alive() is None
+
+
+def test_scale_moduli_and_gauge_equal_the_coefficient_loops_exactly(exact_groupoids):
+    rng = np.random.default_rng(23)
+    for G in exact_groupoids.values():
+        for f in sample_elements(rng, G):
+            t = complex(np.exp(2j * np.pi * rng.random()))
+            ts = tuple(complex(np.exp(2j * np.pi * rng.random())) for _ in range(G.rank))
+            for c in (t, -1, 2.5):
+                assert f.scale(c) == orc.loop_scale(f, c)
+            assert f.max_abs() == orc.loop_max_abs(f)
+            assert (f - f.scale(t)).max_abs() == orc.loop_max_abs(f - f.scale(t))
+            assert kg.i_norm(f) == orc.loop_i_norm(f)
+            assert kg.gauge_automorphism(f, ts) == orc.loop_gauge_automorphism(f, ts)
+
+
+def test_swapped_composites_fail_basis_associativity_by_exactly_one(instance_e):
     G, _ = groupoids(instance_e)
+    units = set(G.unit_index.values())
+    # The first row with two non-unit successors whose composites differ.
+    a, row = next(
+        (a, row)
+        for a, row in enumerate(G.successors)
+        if a not in units and len({iab for ib, iab in row.items() if ib not in units}) > 1
+    )
+    b1, b2 = [ib for ib in row if ib not in units][:2]
+    row[b1], row[b2] = row[b2], row[b1]
+    reports = kg.verify_algebra_identities(G, samples=0)
+    assert reports[0].identity == "convolution_associativity"
+    assert reports[0].max_deviation == 1.0 and not reports[0].passed
+    assert [r.max_deviation for r in reports[1:]] == [0.0] * 5
+
+
+def drop_a_composite(G):
+    """G without one non-unit element that is the composite of non-unit pairs.
+
+    Returns the broken groupoid and those pairs, as index pairs into G.
+    """
     units = set(G.unit_index.values())
 
     def factorizations(i):
@@ -92,10 +172,15 @@ def test_dropped_element_is_a_missing_composite(instance_e):
 
     dropped = next(i for i in range(len(G)) if i not in units and factorizations(i))
     kept = [g for i, g in enumerate(G.elements) if i != dropped]
-    broken = FiniteGroupoid(G.space, kept)
+    return FiniteGroupoid(G.space, kept), factorizations(dropped)
+
+
+def test_dropped_element_is_a_missing_composite(instance_e):
+    G, _ = groupoids(instance_e)
+    broken, pairs = drop_a_composite(G)
     report = kg.verify_groupoid_axioms(broken)
     assert not report.passed
-    for ia, ib in factorizations(dropped):
+    for ia, ib in pairs:
         a, b = G.elements[ia], G.elements[ib]
         assert f"composite of {a.label()} and {b.label()} missing" in report.failures
         ja, jb = broken.index_of(a.label()), broken.index_of(b.label())
@@ -104,6 +189,34 @@ def test_dropped_element_is_a_missing_composite(instance_e):
             broken.product(ja, jb)
         with pytest.raises(KeyError, match="composite of"):
             kg.convolve(AlgebraElement(broken, {ja: 1.0}), AlgebraElement(broken, {jb: 1.0}))
+
+
+def test_a_missing_composite_fails_only_what_reads_it(instance_e):
+    G, _ = groupoids(instance_e)
+    broken, pairs = drop_a_composite(G)
+    rng = np.random.default_rng(5)
+    f = alg.random_algebra_element(rng, broken)
+    g = alg.random_algebra_element(rng, broken)
+    # Nothing below reads a composite or an inverse.
+    ts = tuple(complex(np.exp(2j * np.pi * rng.random())) for _ in range(broken.rank))
+    assert kg.i_norm(f) == orc.loop_i_norm(f)
+    assert kg.gauge_automorphism(f, ts) == orc.loop_gauge_automorphism(f, ts)
+    assert alg.support_levels(f) == {el.m for el in broken.elements}
+    level = broken.elements[0].m
+    part = alg.homogeneous_component(f, level)
+    assert part.coefficients == {
+        i: c for i, c in f.coefficients.items() if broken.elements[i].m == level
+    }
+    # A product fails only where nonzero coefficients meet at a missing composite.
+    off = f.values.copy()
+    off[[broken.index_of(G.elements[ia].label()) for ia, _ in pairs]] = 0
+    f_off = AlgebraElement(broken, off)
+    assert kg.convolve(f_off, g) == label_convolve(f_off, g)
+    with pytest.raises(KeyError, match="composite of"):
+        kg.convolve(f, g)
+    # The dropped element's inverse lost its own inverse.
+    with pytest.raises(KeyError):
+        kg.involution(f)
 
 
 def test_generation_total_is_the_delta_span(instance_b, instance_e):
