@@ -16,6 +16,10 @@ re = ar*br - ai*bi, im = ar*bi + ai*br and moduli `np.hypot`, which round as
 Python's complex product and abs(complex) do (numpy's multiply and `np.abs`
 differ in the last bits), so every deviation equals a coefficient loop's; the
 regular-representation checks keep numpy's matmul and `np.abs`, as before.
+
+`generation_check` certifies generation without a span closure: the |G|
+cylinder words s_x s_y* are unitriangular in the delta basis, so they span
+it.  Where a word does not check, the span closure `algebra_dimension` decides.
 """
 
 from __future__ import annotations
@@ -412,7 +416,10 @@ class RegularRepresentation:
 
     def __init__(self, G: FiniteGroupoid):
         self.groupoid = G
-        self.bases = {u: tuple(i for i, g in enumerate(G.elements) if g.y == u) for u in G.units()}
+        fibers: dict[int, list[int]] = {u: [] for u in G.units()}
+        for i, g in enumerate(G.elements):
+            fibers.get(g.y, []).append(i)
+        self.bases = {u: tuple(fiber) for u, fiber in fibers.items()}
         # entries[u][row, col] = index of gamma . beta^{-1} for gamma, beta in the fiber
         self.entries: dict[int, np.ndarray] = {
             u: np.array(
@@ -738,12 +745,44 @@ def generation_check(G: FiniteGroupoid) -> GenerationReport:
     """Do the vertex and edge generators span the whole convolution algebra?
 
     The whole algebra has the deltas of the elements as a basis, so its
-    dimension is |G|.
+    dimension is |G|.  Let s_v be the projection at v and s_{e.x'} = s_e s_{x'}.
+    Then s_x is the indicator of {(xz, d(x), z)}, and the word s_x s_y* is the
+    cylinder {(xz, d(x) - d(y), yz)}: its leading 1 is at (x, m, y) (z = s(x)),
+    and every other term is at an element whose x is strictly longer.  So the
+    |G| words, ordered by the length of x, are unitriangular in the delta
+    basis and span it.  If the table records a missing composite, or a word
+    does not check or raises KeyError, the span closure `algebra_dimension`
+    decides instead, so a failing report is the span closure's.
     """
     sk = _require_rank_one(G)
-    generators = [
-        vertex_operator(G, VertexFunction.delta(v.id)) for v in sk.vertices
-    ] + [edge_operator(G, EdgeFunction.delta(e.id)) for e in sk.edges]
-    generators = [g for g in generators if g.coefficients]
-    generated = algebra_dimension(generators)
+    vertex = {v.id: vertex_operator(G, VertexFunction.delta(v.id)) for v in sk.vertices}
+    edge = {e.id: edge_operator(G, EdgeFunction.delta(e.id)) for e in sk.edges}
+    try:
+        if not index_arrays(G).missing and _words_are_unitriangular(G, vertex, edge):
+            return GenerationReport(len(G), len(G), True)
+    except KeyError:
+        pass
+    generated = algebra_dimension(g for g in [*vertex.values(), *edge.values()] if g.coefficients)
     return GenerationReport(generated, len(G), generated == len(G))
+
+
+def _words_are_unitriangular(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
+    """Each s_x s_y* is exactly 1.0 at its element, and elsewhere only 1.0 at a longer x."""
+    space = G.space
+    length = [el.path.degree.total for el in space.elements]
+    s: dict[int, AlgebraElement] = {}
+    for i in sorted(range(len(length)), key=length.__getitem__):
+        path = space.elements[i].path
+        if length[i] == 0:
+            s[i] = vertex[path.range]
+        else:
+            tail = space.index_of(space.factors[i][(1,)][1])
+            s[i] = convolve(edge[path.word[0]], s[tail])
+    adjoint = {i: involution(f) for i, f in s.items()}
+    for g, el in enumerate(G.elements):
+        word = convolve(s[el.x], adjoint[el.y]).coefficients
+        if word.pop(g, None) != 1 or any(
+            c != 1 or length[G.elements[h].x] <= length[el.x] for h, c in word.items()
+        ):
+            return False
+    return True
