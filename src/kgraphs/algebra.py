@@ -28,6 +28,7 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
@@ -43,8 +44,9 @@ class IndexArrays:
     """A groupoid's elements and composition table as index arrays; holds no reference to G.
 
     Per element: x, y, and `level`, the position of m in `levels`.  `pairs`
-    holds a, b, ab over the composable pairs with a recorded composite,
-    ascending (a, b); `missing` lists the pairs whose composite is missing.
+    holds a, b, ab over the composable pairs whose composite label (x, m+n, z)
+    is an element, ascending (a, b), from one pass of `G.composites()` over
+    `G.by_range`; `missing` lists the composable pairs whose composite is not.
     """
 
     def __init__(self, G: FiniteGroupoid):
@@ -52,7 +54,7 @@ class IndexArrays:
         at = {m: j for j, m in enumerate(self.levels)}
         columns = np.array([(g.x, g.y, at[g.m]) for g in G.elements], dtype=np.intp)
         self.x, self.y, self.level = columns.reshape(-1, 3).T
-        rows = [(a, b, ab) for a, row in enumerate(G.successors) for b, ab in row.items()]
+        rows = list(G.composites())
         known = [row for row in rows if row[2] is not None]
         self.pairs = tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T)
         self.missing = [(a, b) for a, b, ab in rows if ab is None]
@@ -420,13 +422,17 @@ class RegularRepresentation:
         for i, g in enumerate(G.elements):
             fibers.get(g.y, []).append(i)
         self.bases = {u: tuple(fiber) for u, fiber in fibers.items()}
-        # entries[u][row, col] = index of gamma . beta^{-1} for gamma, beta in the fiber
-        self.entries: dict[int, np.ndarray] = {
-            u: np.array(
-                [[G.product(ig, G.inverse[ib]) for ib in fiber] for ig in fiber], dtype=np.intp
+        # entries[u][row, col] = index of gamma beta^{-1} = (x, m - n, x') for gamma = (x, m, u)
+        # and beta = (x', n, u).  The unit's row holds each beta^{-1}, so a missing inverse,
+        # like a missing composite, raises KeyError.
+        self.entries: dict[int, np.ndarray] = {}
+        index_of = G.index_of
+        for u, fiber in self.bases.items():
+            heads = [(G.elements[i].x, G.elements[i].m) for i in fiber]
+            self.entries[u] = np.array(
+                [[index_of((x, tuple(map(sub, m, n)), x2)) for x2, n in heads] for x, m in heads],
+                dtype=np.intp,
             )
-            for u, fiber in self.bases.items()
-        }
 
     def matrix(self, f: AlgebraElement, unit: int) -> np.ndarray:
         return f.values[self.entries[unit]]

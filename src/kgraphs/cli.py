@@ -43,7 +43,7 @@ from .skeleton import (
 def _parse_degree(text: str) -> Degree:
     try:
         return Degree(tuple(int(c) for c in text.split(",")))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad degree {text!r}: {exc}") from exc
 
 

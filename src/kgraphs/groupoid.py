@@ -3,18 +3,22 @@
 Elements are triples (x, m, y): two space elements whose tails agree after
 shifts differing by m in Z^k, found by a join on the tails of the path
 space's factorization table (`FinitePathSpace.factors`).  Each element stores
-one witnessing shift pair; equality ignores witnesses.  Composition and
-inversion live in `FiniteGroupoid` as one table, built on first use: each
-element's successors in ascending order with their composites, and each
-element's inverse.  The module also verifies, at finite scale, the structure
-that makes the groupoid etale: cylinder sets cover it and the range and
-source maps are injective on each cylinder.
+one witnessing shift pair; equality ignores witnesses.  Composition is label
+arithmetic, (x, m, y)(y, n, z) = (x, m + n, z), looked up in the label
+index; `by_range` lists the elements that can follow a given one.  Since
+integer addition is associative, the axiom check needs closure, units,
+inverses and distinct labels, never a walk over composable triples.  The
+module also verifies, at finite scale, the structure that makes the groupoid
+etale: cylinder sets cover it and the range and source maps are injective on
+each cylinder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
+from typing import Iterator
 
 from .skeleton import Degree, ExactModeError
 from . import paths as pth
@@ -33,6 +37,11 @@ class GroupoidElement:
 
     def label(self) -> tuple[int, tuple[int, ...], int]:
         return (self.x, self.m, self.y)
+
+
+def composite_label(a: GroupoidElement, b: GroupoidElement) -> tuple[int, tuple[int, ...], int]:
+    """(x, m, y)(y, n, z) = (x, m + n, z), for a composable pair."""
+    return (a.x, tuple(map(add, a.m, b.m)), b.y)
 
 
 class FiniteGroupoid:
@@ -75,22 +84,12 @@ class FiniteGroupoid:
         return tuple(sorted(self.unit_index))
 
     @cached_property
-    def successors(self) -> tuple[dict[int, int | None], ...]:
-        """successors[a] maps each b with b.x == a.y, ascending, to the index of ab.
-
-        A composite missing from a hand-built element list maps to None.
-        """
-        by_range: dict[int, list[int]] = {}
+    def by_range(self) -> dict[int, list[int]]:
+        """by_range[u] lists the indices of the elements (u, m, y), ascending."""
+        out: dict[int, list[int]] = {}
         for i, g in enumerate(self.elements):
-            by_range.setdefault(g.x, []).append(i)
-        table = []
-        for a in self.elements:
-            row: dict[int, int | None] = {}
-            for ib in by_range.get(a.y, ()):
-                b = self.elements[ib]
-                row[ib] = self._index.get((a.x, tuple(p + q for p, q in zip(a.m, b.m)), b.y))
-            table.append(row)
-        return tuple(table)
+            out.setdefault(g.x, []).append(i)
+        return out
 
     @cached_property
     def inverse(self) -> dict[int, int]:
@@ -98,15 +97,21 @@ class FiniteGroupoid:
         labels = ((i, (g.y, tuple(-c for c in g.m), g.x)) for i, g in enumerate(self.elements))
         return {i: self._index[label] for i, label in labels if label in self._index}
 
+    def composites(self) -> Iterator[tuple[int, int, int | None]]:
+        """(a, b, index of ab) over the composable pairs, ascending; None if ab is missing."""
+        index, elements = self._index, self.elements
+        for a, g in enumerate(elements):
+            for b in self.by_range.get(g.y, ()):
+                yield a, b, index.get(composite_label(g, elements[b]))
+
     def product(self, a: int, b: int) -> int:
-        """Index of ab: ValueError if not composable, KeyError if recorded missing."""
-        row = self.successors[a]
-        if row.get(b) is not None:
-            return row[b]
-        la, lb = self.elements[a].label(), self.elements[b].label()
-        if b in row:
-            raise KeyError(f"composite of {la} and {lb} missing")
-        raise ValueError(f"not composable: {la} then {lb}")
+        """Index of ab = (x, m+n, z): ValueError if not composable, KeyError if missing."""
+        ga, gb = self.elements[a], self.elements[b]
+        if ga.y != gb.x:
+            raise ValueError(f"not composable: {ga.label()} then {gb.label()}")
+        if (label := composite_label(ga, gb)) not in self._index:
+            raise KeyError(f"composite of {ga.label()} and {gb.label()} missing")
+        return self._index[label]
 
     def to_json(self) -> dict:
         orbit_of: dict[int, int] = {}
@@ -198,7 +203,7 @@ def orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
 
 def isotropy(G: FiniteGroupoid, unit: int) -> tuple[GroupoidElement, ...]:
     """All elements looping at the given unit (space index)."""
-    return tuple(g for g in G.elements if g.x == unit and g.y == unit)
+    return tuple(G.elements[i] for i in G.by_range.get(unit, ()) if G.elements[i].y == unit)
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,7 @@ class GroupoidReport:
 
 
 def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
-    """Closure, units, inverses, witness validity, and associativity."""
+    """Closure, units, inverses, witness validity, and one element per label."""
     failures: list[str] = []
     factors = G.space.factors
 
@@ -235,29 +240,17 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
         elif g.x not in G.unit_index or g.y not in G.unit_index:
             failures.append(f"unit for {g.label()} missing")
 
-    for g1, successors in zip(G.elements, G.successors):
-        for i2, i12 in successors.items():
-            if i12 is None:
-                failures.append(f"composite of {g1.label()} and {G.elements[i2].label()} missing")
+    for a, b, ab in G.composites():
+        if ab is None:
+            failures.append(f"composite of {G.elements[a].label()} and {G.elements[b].label()} missing")
 
     if not failures:
-        # With closure established, check the unit and inverse laws on every
-        # element and associativity on every composable triple of the table.
+        # Products are label sums, so associativity and the inverse law hold
+        # outright, and the unit law fails exactly where a label is repeated:
+        # g.u and u.g are the element the index holds for g's label.
         for i, g in enumerate(G.elements):
-            ux, uy = G.unit_index[g.x], G.unit_index[g.y]
-            if G.product(i, uy) != i or G.product(ux, i) != i:
+            if G._index[g.label()] != i:
                 failures.append(f"unit law fails at {g.label()}")
-            if G.product(i, G.inverse[i]) != ux:
-                failures.append(f"inverse law fails at {g.label()}")
-        table = G.successors
-        for i1, successors in enumerate(table):
-            for i2, i12 in successors.items():
-                for i3, i23 in table[i2].items():
-                    if table[i12][i3] != successors[i23]:
-                        failures.append(
-                            "associativity fails at "
-                            f"{G.elements[i1].label()},{G.elements[i2].label()},{G.elements[i3].label()}"
-                        )
     return GroupoidReport(not failures, tuple(failures))
 
 

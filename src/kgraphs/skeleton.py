@@ -12,11 +12,10 @@ offers small structural utilities (acyclicity, reachability, DOT export).
 
 from __future__ import annotations
 
-import graphlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 MAX_COORD = 2**31 - 1
@@ -365,64 +364,63 @@ def validate_squares(sk: Skeleton) -> ValidationReport:
 
     # Coverage per unordered color pair {i < j}: the rule set must hit every
     # composable (i,j) pair exactly once and every composable (j,i) pair
-    # exactly once.
-    for i in range(1, sk.rank + 1):
-        for j in range(i + 1, sk.rank + 1):
-            forward = [
-                (g.id, h.id)
-                for g in sk.edges
-                if g.color == i
-                for h in sk.edges
-                if h.color == j and g.source == h.range
-            ]
-            backward = [
-                (g.id, h.id)
-                for g in sk.edges
-                if g.color == j
-                for h in sk.edges
-                if h.color == i and g.source == h.range
-            ]
-            pair_rules = [
-                r
-                for r in well_formed
-                if edge[r.first].color == i and edge[r.second].color == j
-            ]
-            fwd_count: dict[tuple[str, str], int] = {}
-            bwd_count: dict[tuple[str, str], int] = {}
-            for r in pair_rules:
-                fwd_count[(r.first, r.second)] = fwd_count.get((r.first, r.second), 0) + 1
-                key = (r.swapped_first, r.swapped_second)
-                bwd_count[key] = bwd_count.get(key, 0) + 1
-            for side, composable, counts in (
-                ("forward", forward, fwd_count),
-                ("backward", backward, bwd_count),
-            ):
-                for pair in sorted(composable):
-                    n = counts.pop(pair, 0)
-                    if n == 0:
-                        failures.append(
-                            Failure(
-                                "missing_square",
-                                pair,
-                                f"no factorization for the composable pair {pair[0]}.{pair[1]}",
-                            )
-                        )
-                    elif n > 1:
-                        failures.append(
-                            Failure(
-                                "duplicate_square",
-                                pair,
-                                f"{n} factorizations for the composable pair {pair[0]}.{pair[1]}",
-                            )
-                        )
-                for pair in sorted(counts):
+    # exactly once.  A color no edge carries has no pair and no rule.
+    for i, j in combinations(sorted({e.color for e in sk.edges}), 2):
+        forward = [
+            (g.id, h.id)
+            for g in sk.edges
+            if g.color == i
+            for h in sk.edges
+            if h.color == j and g.source == h.range
+        ]
+        backward = [
+            (g.id, h.id)
+            for g in sk.edges
+            if g.color == j
+            for h in sk.edges
+            if h.color == i and g.source == h.range
+        ]
+        pair_rules = [
+            r
+            for r in well_formed
+            if edge[r.first].color == i and edge[r.second].color == j
+        ]
+        fwd_count: dict[tuple[str, str], int] = {}
+        bwd_count: dict[tuple[str, str], int] = {}
+        for r in pair_rules:
+            fwd_count[(r.first, r.second)] = fwd_count.get((r.first, r.second), 0) + 1
+            key = (r.swapped_first, r.swapped_second)
+            bwd_count[key] = bwd_count.get(key, 0) + 1
+        for side, composable, counts in (
+            ("forward", forward, fwd_count),
+            ("backward", backward, bwd_count),
+        ):
+            for pair in sorted(composable):
+                n = counts.pop(pair, 0)
+                if n == 0:
                     failures.append(
                         Failure(
-                            "not_composable",
+                            "missing_square",
                             pair,
-                            f"rule {side} side {pair[0]}.{pair[1]} is not a composable pair",
+                            f"no factorization for the composable pair {pair[0]}.{pair[1]}",
                         )
                     )
+                elif n > 1:
+                    failures.append(
+                        Failure(
+                            "duplicate_square",
+                            pair,
+                            f"{n} factorizations for the composable pair {pair[0]}.{pair[1]}",
+                        )
+                    )
+            for pair in sorted(counts):
+                failures.append(
+                    Failure(
+                        "not_composable",
+                        pair,
+                        f"rule {side} side {pair[0]}.{pair[1]} is not a composable pair",
+                    )
+                )
 
     return ValidationReport("squares", not failures, tuple(failures))
 
@@ -492,14 +490,7 @@ def validate(sk: Skeleton) -> tuple[ValidationReport, ValidationReport]:
 
 def is_acyclic(sk: Skeleton) -> bool:
     """True iff the underlying directed multigraph has no directed cycle."""
-    graph: dict[str, set[str]] = {v.id: set() for v in sk.vertices}
-    for e in sk.edges:
-        graph[e.range].add(e.source)
-    try:
-        graphlib.TopologicalSorter(graph).prepare()
-    except graphlib.CycleError:
-        return False
-    return True
+    return not any(sk.edge_on_cycle(e.id) for e in sk.edges)
 
 
 def export_dot(sk: Skeleton) -> str:

@@ -7,9 +7,10 @@ from the range; two words name the same path exactly when one rewrites to
 the other by single square swaps.
 
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
-(x, m + n, z), instead of reading the groupoid's composition table, and
-build the groupoid and its cylinders by factorizing and composing paths
-afresh instead of reading the path space's factorization table.
+(x, m + n, z), pair by pair instead of reading the groupoid's index arrays,
+walk every composable triple for the axioms, and build the groupoid and its
+cylinders by factorizing and composing paths afresh instead of reading the
+path space's factorization table.
 
 The boundary oracles search every subset of a vertex's paths against the
 pairwise compatibility of `minimal_extension_pairs`, and split paths with
@@ -19,6 +20,7 @@ factorization table.
 
 from __future__ import annotations
 
+import graphlib
 from itertools import combinations
 
 from kgraphs import paths as pth
@@ -32,7 +34,7 @@ from kgraphs.boundary import (
     classify_vertices,
     prepend,
 )
-from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement
+from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement, GroupoidReport
 from kgraphs.skeleton import Degree, ExactModeError, Skeleton, degree_box
 
 
@@ -64,6 +66,18 @@ def word_range(sk: Skeleton, word, at: str | None = None) -> str:
 
 def word_source(sk: Skeleton, word, at: str | None = None) -> str:
     return sk.edge_by_id[word[-1]].source if word else at
+
+
+def graphlib_is_acyclic(sk: Skeleton) -> bool:
+    """No directed cycle, by a topological sort of the underlying multigraph."""
+    graph: dict[str, set[str]] = {v.id: set() for v in sk.vertices}
+    for e in sk.edges:
+        graph[e.range].add(e.source)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return False
+    return True
 
 
 def all_words(sk: Skeleton, n: Degree, range_vertex: str | None = None):
@@ -240,6 +254,73 @@ def label_involution(f: AlgebraElement) -> AlgebraElement:
             for i, c in f.coefficients.items()
         },
     )
+
+
+# The groupoid axioms by exhaustive loops over a successor table built from
+# labels: the unit and inverse laws on every element and associativity on
+# every composable triple.  The reference for `verify_groupoid_axioms`, which
+# checks closure, units, inverses and distinct labels instead.
+
+
+def label_successors(G: FiniteGroupoid) -> tuple[dict[int, int | None], ...]:
+    """successors[a] maps each b with b.x == a.y, ascending, to ab's index, or None if missing."""
+    table = []
+    for a in G.elements:
+        row: dict[int, int | None] = {}
+        for ib, b in enumerate(G.elements):
+            if b.x == a.y:
+                label = label_composite(a, b)
+                row[ib] = G.index_of(label) if label in G else None
+        table.append(row)
+    return tuple(table)
+
+
+def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
+    """Closure, units, inverses, witnesses, then the unit, inverse and associative laws."""
+    failures: list[str] = []
+    factors = G.space.factors
+    table = label_successors(G)
+    inverse = {
+        i: G.index_of(label_inverse(g)) for i, g in enumerate(G.elements) if label_inverse(g) in G
+    }
+
+    for u in range(len(G.space.elements)):
+        if u not in G.unit_index:
+            failures.append(f"missing unit at space index {u}")
+    for i, g in enumerate(G.elements):
+        p, q = g.witness
+        xpath, ypath = G.space.elements[g.x].path, G.space.elements[g.y].path
+        if (
+            not p <= xpath.degree
+            or not q <= ypath.degree
+            or tuple(a - b for a, b in zip(p.coords, q.coords)) != g.m
+            or factors[g.x][p.coords][1] != factors[g.y][q.coords][1]
+        ):
+            failures.append(f"invalid witness on {g.label()}")
+        if i not in inverse:
+            failures.append(f"inverse of {g.label()} missing")
+        elif g.x not in G.unit_index or g.y not in G.unit_index:
+            failures.append(f"unit for {g.label()} missing")
+    for g1, successors in zip(G.elements, table):
+        for i2, i12 in successors.items():
+            if i12 is None:
+                failures.append(f"composite of {g1.label()} and {G.elements[i2].label()} missing")
+    if not failures:
+        for i, g in enumerate(G.elements):
+            ux, uy = G.unit_index[g.x], G.unit_index[g.y]
+            if table[i][uy] != i or table[ux][i] != i:
+                failures.append(f"unit law fails at {g.label()}")
+            if table[i][inverse[i]] != ux:
+                failures.append(f"inverse law fails at {g.label()}")
+        for i1, successors in enumerate(table):
+            for i2, i12 in successors.items():
+                for i3, i23 in table[i2].items():
+                    if table[i12][i3] != successors[i23]:
+                        failures.append(
+                            "associativity fails at "
+                            f"{G.elements[i1].label()},{G.elements[i2].label()},{G.elements[i3].label()}"
+                        )
+    return GroupoidReport(not failures, tuple(failures))
 
 
 # Coefficient-by-coefficient loops in plain Python over the nonzero entries:

@@ -335,6 +335,27 @@ def test_out_of_range_verify_options_are_usage_errors(capsys, option, value, mes
     assert err.endswith(f"error: argument {option}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["paths", str(instance_path("b")), "--degree", "3000000000"], "--degree", "3000000000"),
+        (["boundary", str(instance_path("a")), "--bound", "3000000000,1"], "--bound", "3000000000,1"),
+    ],
+    ids=["paths-degree", "boundary-bound"],
+)
+def test_an_out_of_range_degree_is_a_usage_error(capsys, argv, option, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    coords = tuple(int(c) for c in text.split(","))
+    assert err.endswith(
+        f"error: argument {option}: bad degree {text!r}: "
+        f"degree coordinate out of 32-bit range in {coords}\n"
+    )
+
+
 @pytest.mark.parametrize("where", ["instance", "out"])
 def test_a_directory_path_is_a_one_line_usage_error(tmp_path, capsys, where):
     paths = [str(tmp_path)] if where == "instance" else [str(instance_path("b")), "--out", str(tmp_path)]

@@ -1,13 +1,16 @@
-"""The composition table of `FiniteGroupoid` against label arithmetic.
+"""Composition by label arithmetic against the label and loop oracles.
 
-The array arithmetic of `kgraphs.algebra` must equal the label and
-coefficient-loop oracles bit for bit, not up to a tolerance.
+`FiniteGroupoid.product`, the index arrays of `kgraphs.algebra` and the
+axiom report must equal the pair-by-pair label oracles and the old axiom
+loops; the array arithmetic must equal the coefficient loops bit for bit,
+not up to a tolerance.
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,14 +57,19 @@ def sample_elements(rng, G) -> list[AlgebraElement]:
     return dense + [with_zeros(rng, f) for f in dense] + deltas[:: max(1, len(deltas) // 8)]
 
 
+def product_outcome(G, a: int, b: int):
+    try:
+        return G.product(a, b)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
 def table_matches_labels(G):
     for ia, a in enumerate(G.elements):
-        composable = [ib for ib, b in enumerate(G.elements) if b.x == a.y]
-        assert list(G.successors[ia]) == composable
-        for ib in composable:
-            label = label_composite(a, G.elements[ib])
-            expected = G.index_of(label) if label in G else None
-            assert G.successors[ia][ib] == expected
+        for ib, b in enumerate(G.elements):
+            label = label_composite(a, b)
+            expected = ValueError if b.x != a.y else G.index_of(label) if label in G else KeyError
+            assert product_outcome(G, ia, ib) == expected
         inv = label_inverse(a)
         assert G.inverse.get(ia) == (G.index_of(inv) if inv in G else None)
 
@@ -82,9 +90,10 @@ def test_table_is_built_on_first_use(instance_a, instance_e):
     truncated.to_json()
     G = kg.build_path_groupoid(kg.enumerate_path_space(instance_e))
     for H in (truncated, G):
-        assert "successors" not in vars(H) and "inverse" not in vars(H)
+        assert "by_range" not in vars(H) and "inverse" not in vars(H)
+        assert H not in alg._index_arrays
     kg.convolve(AlgebraElement.delta(G, G.elements[0].label()), AlgebraElement.zero(G))
-    assert "successors" in vars(G)
+    assert "by_range" in vars(G) and G in alg._index_arrays
 
 
 def test_convolve_and_involution_equal_the_label_oracle_exactly(exact_groupoids):
@@ -104,12 +113,34 @@ def test_convolve_and_involution_equal_the_label_oracle_exactly(exact_groupoids)
                     assert kg.convolve(f, g) == label_convolve(f, g)
 
 
-def test_pairs_list_the_table_ascending(exact_groupoids):
-    for G in exact_groupoids.values():
-        a, b, ab = alg.index_arrays(G).pairs
-        rows = [(ia, ib, iab) for ia, row in enumerate(G.successors) for ib, iab in row.items()]
-        assert list(zip(a.tolist(), b.tolist(), ab.tolist())) == rows
+def label_rows(G) -> list[tuple[int, int, int | None]]:
+    """(a, b, index of ab or None) over every composable pair, by label arithmetic."""
+    return [
+        (ia, ib, G.index_of(label) if (label := label_composite(a, b)) in G else None)
+        for ia, a in enumerate(G.elements)
+        for ib, b in enumerate(G.elements)
+        if b.x == a.y
+    ]
+
+
+def test_pairs_list_the_table_ascending(exact_groupoids, instance_a):
+    truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((1, 1))))
+    for G in [*exact_groupoids.values(), truncated]:
+        arrays = alg.index_arrays(G)
+        rows = label_rows(G)
+        assert list(G.composites()) == rows
+        assert list(zip(*(c.tolist() for c in arrays.pairs))) == [r for r in rows if r[2] is not None]
+        assert arrays.missing == [(a, b) for a, b, ab in rows if ab is None]
         assert rows == sorted(rows)
+
+
+def test_by_range_and_isotropy_equal_the_scans(exact_groupoids, instance_a):
+    truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((2, 2))))
+    for G in [*exact_groupoids.values(), truncated]:
+        xs = {g.x for g in G.elements}
+        assert G.by_range == {u: [i for i, g in enumerate(G.elements) if g.x == u] for u in sorted(xs)}
+        for u in range(len(G.space.elements) + 1):
+            assert kg.isotropy(G, u) == tuple(g for g in G.elements if g.x == u and g.y == u)
 
 
 def test_index_arrays_are_built_once_per_groupoid_and_let_it_go(instance_b):
@@ -141,14 +172,14 @@ def test_scale_moduli_and_gauge_equal_the_coefficient_loops_exactly(exact_groupo
 def test_swapped_composites_fail_basis_associativity_by_exactly_one(instance_e):
     G, _ = groupoids(instance_e)
     units = set(G.unit_index.values())
+    a, b, ab = alg.index_arrays(G).pairs
     # The first row with two non-unit successors whose composites differ.
-    a, row = next(
-        (a, row)
-        for a, row in enumerate(G.successors)
-        if a not in units and len({iab for ib, iab in row.items() if ib not in units}) > 1
-    )
-    b1, b2 = [ib for ib in row if ib not in units][:2]
-    row[b1], row[b2] = row[b2], row[b1]
+    rows: dict[int, list[int]] = {}
+    for k in range(len(a)):
+        if a[k] not in units and b[k] not in units:
+            rows.setdefault(int(a[k]), []).append(k)
+    k1, k2 = next(ks for ks in rows.values() if len({int(ab[k]) for k in ks}) > 1)[:2]
+    ab[k1], ab[k2] = ab[k2], ab[k1]
     reports = kg.verify_algebra_identities(G, samples=0)
     assert reports[0].identity == "convolution_associativity"
     assert reports[0].max_deviation == 1.0 and not reports[0].passed
@@ -161,14 +192,10 @@ def drop_a_composite(G):
     Returns the broken groupoid and those pairs, as index pairs into G.
     """
     units = set(G.unit_index.values())
+    rows = list(zip(*(c.tolist() for c in alg.index_arrays(G).pairs)))
 
     def factorizations(i):
-        return [
-            (ia, ib)
-            for ia, row in enumerate(G.successors)
-            for ib, iab in row.items()
-            if iab == i and not {ia, ib} & units
-        ]
+        return [(ia, ib) for ia, ib, iab in rows if iab == i and not {ia, ib} & units]
 
     dropped = next(i for i in range(len(G)) if i not in units and factorizations(i))
     kept = [g for i, g in enumerate(G.elements) if i != dropped]
@@ -184,7 +211,7 @@ def test_dropped_element_is_a_missing_composite(instance_e):
         a, b = G.elements[ia], G.elements[ib]
         assert f"composite of {a.label()} and {b.label()} missing" in report.failures
         ja, jb = broken.index_of(a.label()), broken.index_of(b.label())
-        assert broken.successors[ja][jb] is None
+        assert (ja, jb) in alg.index_arrays(broken).missing
         with pytest.raises(KeyError, match="composite of"):
             broken.product(ja, jb)
         with pytest.raises(KeyError, match="composite of"):
@@ -224,3 +251,42 @@ def test_generation_total_is_the_delta_span(instance_b, instance_e):
         for G in groupoids(sk):
             deltas = [AlgebraElement.delta(G, g.label()) for g in G.elements]
             assert kg.algebra_dimension(deltas) == kg.generation_check(G).total_dimension == len(G)
+
+
+def mutants(G):
+    """Hand-broken copies of G: name -> element list."""
+    units = set(G.unit_index.values())
+    h = next(i for i, g in enumerate(G.elements) if i not in units)
+    g = G.elements[h]
+    p, q = g.witness
+    return {
+        "dropped composite": list(drop_a_composite(G)[0].elements),
+        "dropped inverse": [k for i, k in enumerate(G.elements) if i != G.inverse[h]],
+        "bad witness": [replace(k, witness=(q, p)) if i == h else k for i, k in enumerate(G.elements)],
+        "duplicated non-unit label": [*G.elements, g],
+        "duplicated unit": [*G.elements, G.elements[max(units)]],
+    }
+
+
+def test_axiom_report_equals_the_loops(exact_groupoids, instance_a):
+    truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((1, 1))))
+    for G in [*exact_groupoids.values(), truncated]:
+        assert kg.verify_groupoid_axioms(G) == orc.loop_groupoid_axioms(G)
+
+
+@pytest.mark.parametrize("name", ["e-full", "e-boundary", "line-6-full", "grid-boundary"])
+def test_axiom_report_equals_the_loops_on_mutants(exact_groupoids, name):
+    expected_prefix = {
+        "dropped composite": "composite of",
+        "dropped inverse": "inverse of",
+        "bad witness": "invalid witness on",
+        "duplicated non-unit label": "unit law fails at",
+        "duplicated unit": "unit law fails at",
+    }
+    G = exact_groupoids[name]
+    for mutant, elements in mutants(G).items():
+        broken = FiniteGroupoid(G.space, elements)
+        report = kg.verify_groupoid_axioms(broken)
+        assert report == orc.loop_groupoid_axioms(broken), mutant
+        assert not report.passed
+        assert any(f.startswith(expected_prefix[mutant]) for f in report.failures), mutant

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 import kgraphs as kg
 from kgraphs.skeleton import Degree, degree_box
 
-from conftest import instance_path
+import oracles as orc
+from conftest import instance_path, load_instance
 
 
 def test_load_two_vertex_instance(instance_b):
@@ -144,6 +146,28 @@ def _two_loop_instance(perm12, perm23):
     )
 
 
+def colored_document(rank: int, colors: tuple[int, ...]) -> dict:
+    """A path u <- v <- w <- ... whose i-th edge has the i-th color; no squares."""
+    return {
+        "rank": rank,
+        "vertices": [{"id": f"n{i}"} for i in range(len(colors) + 1)],
+        "edges": [
+            {"id": f"e{i}", "color": c, "range": f"n{i}", "source": f"n{i + 1}"}
+            for i, c in enumerate(colors)
+        ],
+        "squares": [],
+    }
+
+
+@pytest.mark.parametrize("colors", [(1,), (1, 2), (2, 1, 2)], ids=["one-edge", "two-colors", "three-edges"])
+def test_unused_colors_leave_the_square_report_unchanged(colors):
+    """Rank 10,000 with only colors 1 and 2 in use reports what rank 2 does."""
+    wide = kg.load_skeleton(colored_document(10_000, colors))
+    narrow = kg.load_skeleton(colored_document(2, colors))
+    assert kg.validate(wide) == kg.validate(narrow)
+    assert kg.validate_squares(wide).passed == (len(set(colors)) == 1)
+
+
 def test_associativity_catches_incoherent_squares():
     # Brute-force search over square assignments on a one-vertex skeleton
     # with two loops per color until some triple rewrites inconsistently.
@@ -169,6 +193,28 @@ def test_acyclicity(instance_a, instance_b, instance_c, instance_e):
     assert kg.is_acyclic(instance_e)
     assert not kg.is_acyclic(instance_a)
     assert not kg.is_acyclic(instance_c)
+
+
+def random_multigraph(rng: random.Random) -> kg.Skeleton:
+    """A rank-1 multigraph on up to 6 vertices; self-loops and parallel edges allowed."""
+    n = rng.randint(1, 6)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [
+        {"id": f"e{i}", "color": 1, "range": rng.choice(vertices), "source": rng.choice(vertices)}
+        for i in range(rng.randint(0, 8))
+    ]
+    return kg.load_skeleton(
+        {"rank": 1, "vertices": [{"id": v} for v in vertices], "edges": edges, "squares": []}
+    )
+
+
+def test_acyclicity_agrees_with_the_topological_sort():
+    rng = random.Random(5)
+    skeletons = [load_instance(name) for name in "abcde"]
+    skeletons += [random_multigraph(rng) for _ in range(3000)]
+    verdicts = [kg.is_acyclic(sk) for sk in skeletons]
+    assert verdicts == [orc.graphlib_is_acyclic(sk) for sk in skeletons]
+    assert 500 < sum(verdicts) < 2500
 
 
 def test_acyclic_implies_path_degrees_bounded(instance_b, instance_e):
