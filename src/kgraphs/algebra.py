@@ -621,10 +621,7 @@ def cuntz_krieger_sides(
             f"vertex function supported off the regular vertices: "
             f"{sorted(f.support() - regular)}"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pairs = rank_one_decomposition(sk, f)
-    return vertex_operator(G, f), rank_one_lift(G, pairs)
+    return vertex_operator(G, f), rank_one_lift(G, rank_one_decomposition(sk, f))
 
 
 def verify_cuntz_krieger(

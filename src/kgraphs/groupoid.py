@@ -1,23 +1,25 @@
 """The path groupoid of an enumerated path space, and its boundary reduction.
 
 Elements are triples (x, m, y): two space elements whose tails agree after
-shifts differing by m in Z^k, found by a join on the tails of the path
-space's factorization table (`FinitePathSpace.factors`).  Each element stores
-one witnessing shift pair; equality ignores witnesses.  Composition is label
-arithmetic, (x, m, y)(y, n, z) = (x, m + n, z), looked up in the label
-index; `by_range` lists the elements that can follow a given one.  Since
-integer addition is associative, the axiom check needs closure, units,
-inverses and distinct labels, never a walk over composable triples.  The
-module also verifies, at finite scale, the structure that makes the groupoid
-etale: cylinder sets cover it and the range and source maps are injective on
-each cylinder.
+shifts differing by m in Z^k.  Finite paths share a tail exactly when they
+share a source, so the elements pair up each source block, m = d(x) - d(y),
+each with its least witnessing shift pair from the path space's
+factorization table (`FinitePathSpace.factors`); equality ignores witnesses.
+Composition is label arithmetic, (x, m, y)(y, n, z) = (x, m + n, z), looked
+up in the label index; `by_range` lists the elements that can follow a
+given one.  Since integer addition is associative, the axiom check needs
+closure, units, inverses and distinct labels, never a walk over composable
+triples.  The module also verifies, at finite scale, the structure that
+makes the groupoid etale: cylinder sets cover it and the range and source
+maps are injective on each cylinder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import add
+from functools import cache, cached_property
+from itertools import product
+from operator import add, sub
 from typing import Iterator
 
 from .skeleton import Degree, ExactModeError
@@ -135,28 +137,28 @@ class FiniteGroupoid:
 
 
 def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
-    """Enumerate all (x, p - q, y) with matching tails at shifts p, q.
+    """Pair the elements of each source block as (x, d(x) - d(y), y).
 
-    A join: each (x, p) is bucketed under its tail, pairs within a bucket are
-    elements, and the least p is kept as the witness.  On an exact space this
-    is the whole path groupoid.  On a truncated space only witnesses within
-    the recorded prefixes are visible, so the result is not `complete`.
+    x and y have a common tail exactly when they have a common source (the
+    tail at p = d(x)), so the groupoid is the same-source relation.  The
+    witness is the lexicographically least p with equal tails of x at p and
+    of y at p - m.  Only an exact space gives the whole groupoid (`complete`).
     """
-    buckets: dict[Path, list[tuple[int, tuple[int, ...]]]] = {}
-    for i, row in enumerate(space.factors):
-        for p, (_, tail) in row.items():
-            buckets.setdefault(tail, []).append((i, p))
-    found: dict[tuple[int, tuple[int, ...], int], tuple] = {}
-    for entries in buckets.values():
-        for ix, p in entries:
-            for iy, q in entries:
-                label = (ix, tuple(a - b for a, b in zip(p, q)), iy)
-                if label not in found or p < found[label][0]:
-                    found[label] = (p, q)
-    elements = [
-        GroupoidElement(x, m, y, witness=(Degree(p), Degree(q)))
-        for (x, m, y), (p, q) in found.items()
-    ]
+    factors = space.factors
+    blocks: dict[Path, list[int]] = {}
+    for x, row in enumerate(factors):
+        blocks.setdefault(row[space.elements[x].degree.coords][1], []).append(x)
+    degree = cache(Degree)  # one Degree per distinct witness keeps the groupoid small
+    elements = []
+    for block in blocks.values():
+        for x in block:
+            dx = space.elements[x].degree.coords
+            for y in block:
+                m = tuple(map(sub, dx, space.elements[y].degree.coords))
+                for p in product(*(range(max(c, 0), d + 1) for c, d in zip(m, dx))):
+                    if factors[x][p][1] == factors[y][q := tuple(map(sub, p, m))][1]:
+                        elements.append(GroupoidElement(x, m, y, witness=(degree(p), degree(q))))
+                        break
     return FiniteGroupoid(space, elements)
 
 

@@ -6,16 +6,18 @@ of edges of distinct colors, exactly one rule records how to traverse the
 same two-colored path in the opposite color order.  Completeness of the
 squares gives unique factorization at mixed degree 2; coherence of the
 squares on three-colored triples (the hexagon condition) extends it to all
-degrees.  This module loads presentations, validates both conditions, and
-offers small structural utilities (acyclicity, reachability, DOT export).
+degrees.  This module loads presentations and validates both conditions by
+enumeration: one count of the square sides, one pass over the composable
+pairs.  Acyclicity is one peel (Kahn); reachability and DOT export remain.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 MAX_COORD = 2**31 - 1
@@ -325,102 +327,47 @@ def load_skeleton(document: str | dict) -> Skeleton:
 def validate_squares(sk: Skeleton) -> ValidationReport:
     """Check that the factorization squares are complete and bijective.
 
-    Passes iff every composable two-colored pair of edges appears in exactly
-    one rule on its side, and every rule respects the range/source equations
-    a square must satisfy.
+    Passes iff every rule respects the colors and the range/source equations
+    a square must satisfy, and every composable two-colored pair of edges is
+    a side of exactly one such rule.  The sides are counted in one pass over
+    the rules and the composable pairs enumerated in one pass over the edges;
+    a well-formed rule's sides are composable, so no count is left over.
     """
     failures: list[Failure] = []
-    edge = sk.edge_by_id
-    well_formed: list[FactorizationRule] = []
-
+    sides: Counter[tuple[str, str]] = Counter()
     for rule in sk.rules:
-        f, s = edge[rule.first], edge[rule.second]
-        sf, ss = edge[rule.swapped_first], edge[rule.swapped_second]
+        items = (rule.first, rule.second, rule.swapped_first, rule.swapped_second)
+        f, s, sf, ss = (sk.edge_by_id[i] for i in items)
         if f.color == s.color or sf.color != s.color or ss.color != f.color:
             failures.append(
                 Failure(
                     "invalid_colors",
-                    (rule.first, rule.second, rule.swapped_first, rule.swapped_second),
+                    items,
                     f"square must exchange two distinct colors, got "
                     f"({f.color},{s.color}) vs ({sf.color},{ss.color})",
                 )
             )
-            continue
-        if (
-            f.source != s.range
-            or sf.source != ss.range
-            or sf.range != f.range
-            or ss.source != s.source
-        ):
+        elif (f.source, sf.source, sf.range, ss.source) != (s.range, ss.range, f.range, s.source):
             failures.append(
-                Failure(
-                    "endpoint_mismatch",
-                    (rule.first, rule.second, rule.swapped_first, rule.swapped_second),
-                    "square sides do not share range and source",
-                )
+                Failure("endpoint_mismatch", items, "square sides do not share range and source")
             )
-            continue
-        well_formed.append(rule)
+        else:
+            sides.update((items[:2], items[2:]))
 
-    # Coverage per unordered color pair {i < j}: the rule set must hit every
-    # composable (i,j) pair exactly once and every composable (j,i) pair
-    # exactly once.  A color no edge carries has no pair and no rule.
-    for i, j in combinations(sorted({e.color for e in sk.edges}), 2):
-        forward = [
-            (g.id, h.id)
-            for g in sk.edges
-            if g.color == i
-            for h in sk.edges
-            if h.color == j and g.source == h.range
-        ]
-        backward = [
-            (g.id, h.id)
-            for g in sk.edges
-            if g.color == j
-            for h in sk.edges
-            if h.color == i and g.source == h.range
-        ]
-        pair_rules = [
-            r
-            for r in well_formed
-            if edge[r.first].color == i and edge[r.second].color == j
-        ]
-        fwd_count: dict[tuple[str, str], int] = {}
-        bwd_count: dict[tuple[str, str], int] = {}
-        for r in pair_rules:
-            fwd_count[(r.first, r.second)] = fwd_count.get((r.first, r.second), 0) + 1
-            key = (r.swapped_first, r.swapped_second)
-            bwd_count[key] = bwd_count.get(key, 0) + 1
-        for side, composable, counts in (
-            ("forward", forward, fwd_count),
-            ("backward", backward, bwd_count),
-        ):
-            for pair in sorted(composable):
-                n = counts.pop(pair, 0)
-                if n == 0:
-                    failures.append(
-                        Failure(
-                            "missing_square",
-                            pair,
-                            f"no factorization for the composable pair {pair[0]}.{pair[1]}",
-                        )
-                    )
-                elif n > 1:
-                    failures.append(
-                        Failure(
-                            "duplicate_square",
-                            pair,
-                            f"{n} factorizations for the composable pair {pair[0]}.{pair[1]}",
-                        )
-                    )
-            for pair in sorted(counts):
-                failures.append(
-                    Failure(
-                        "not_composable",
-                        pair,
-                        f"rule {side} side {pair[0]}.{pair[1]} is not a composable pair",
-                    )
-                )
+    # Report order: by color pair i < j, the (i, j) pairs before the (j, i)
+    # pairs, each side by edge ids.
+    composable = sorted(
+        (min(g.color, h.color), max(g.color, h.color), g.color > h.color, g.id, h.id)
+        for g in sk.edges
+        for h in sk.edges_by_range[g.source]
+        if g.color != h.color
+    )
+    for *_, g, h in composable:
+        pair = f"for the composable pair {g}.{h}"
+        if (n := sides[g, h]) == 0:
+            failures.append(Failure("missing_square", (g, h), f"no factorization {pair}"))
+        elif n > 1:
+            failures.append(Failure("duplicate_square", (g, h), f"{n} factorizations {pair}"))
 
     return ValidationReport("squares", not failures, tuple(failures))
 
@@ -489,8 +436,19 @@ def validate(sk: Skeleton) -> tuple[ValidationReport, ValidationReport]:
 
 
 def is_acyclic(sk: Skeleton) -> bool:
-    """True iff the underlying directed multigraph has no directed cycle."""
-    return not any(sk.edge_on_cycle(e.id) for e in sk.edges)
+    """True iff the underlying directed multigraph has no directed cycle.
+
+    Kahn's peel: a vertex that no remaining edge leaves is removed with the
+    edges ranged at it; every vertex goes exactly when there is no cycle.
+    """
+    pending = Counter(e.source for e in sk.edges)
+    peeled = [v.id for v in sk.vertices if not pending[v.id]]
+    for v in peeled:
+        for e in sk.edges_by_range[v]:
+            pending[e.source] -= 1
+            if not pending[e.source]:
+                peeled.append(e.source)
+    return len(peeled) == len(sk.vertices)
 
 
 def export_dot(sk: Skeleton) -> str:

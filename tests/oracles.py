@@ -6,6 +6,11 @@ genuine two-route check.  Words are tuples of edge ids read left to right
 from the range; two words name the same path exactly when one rewrites to
 the other by single square swaps.
 
+The skeleton oracles sort the multigraph topologically and rescan every
+pair of edges once per color pair and side, with separate counters for the
+two sides of the squares, instead of peeling vertices and counting both
+sides in one pass over the composable pairs.
+
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
 (x, m + n, z), pair by pair instead of reading the groupoid's index arrays,
 walk every composable triple for the axioms, and build the groupoid and its
@@ -35,7 +40,15 @@ from kgraphs.boundary import (
     prepend,
 )
 from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement, GroupoidReport
-from kgraphs.skeleton import Degree, ExactModeError, Skeleton, degree_box
+from kgraphs.skeleton import (
+    Degree,
+    ExactModeError,
+    Failure,
+    FactorizationRule,
+    Skeleton,
+    ValidationReport,
+    degree_box,
+)
 
 
 def swap_neighbors(sk: Skeleton, word: tuple[str, ...]):
@@ -78,6 +91,109 @@ def graphlib_is_acyclic(sk: Skeleton) -> bool:
     except graphlib.CycleError:
         return False
     return True
+
+
+def rescan_validate_squares(sk: Skeleton) -> ValidationReport:
+    """`validate_squares` by a rescan of all edge pairs per color pair and side.
+
+    Passes iff every composable two-colored pair of edges appears in exactly
+    one rule on its side, and every rule respects the range/source equations
+    a square must satisfy.
+    """
+    failures: list[Failure] = []
+    edge = sk.edge_by_id
+    well_formed: list[FactorizationRule] = []
+
+    for rule in sk.rules:
+        f, s = edge[rule.first], edge[rule.second]
+        sf, ss = edge[rule.swapped_first], edge[rule.swapped_second]
+        if f.color == s.color or sf.color != s.color or ss.color != f.color:
+            failures.append(
+                Failure(
+                    "invalid_colors",
+                    (rule.first, rule.second, rule.swapped_first, rule.swapped_second),
+                    f"square must exchange two distinct colors, got "
+                    f"({f.color},{s.color}) vs ({sf.color},{ss.color})",
+                )
+            )
+            continue
+        if (
+            f.source != s.range
+            or sf.source != ss.range
+            or sf.range != f.range
+            or ss.source != s.source
+        ):
+            failures.append(
+                Failure(
+                    "endpoint_mismatch",
+                    (rule.first, rule.second, rule.swapped_first, rule.swapped_second),
+                    "square sides do not share range and source",
+                )
+            )
+            continue
+        well_formed.append(rule)
+
+    # Coverage per unordered color pair {i < j}: the rule set must hit every
+    # composable (i,j) pair exactly once and every composable (j,i) pair
+    # exactly once.  A color no edge carries has no pair and no rule.
+    for i, j in combinations(sorted({e.color for e in sk.edges}), 2):
+        forward = [
+            (g.id, h.id)
+            for g in sk.edges
+            if g.color == i
+            for h in sk.edges
+            if h.color == j and g.source == h.range
+        ]
+        backward = [
+            (g.id, h.id)
+            for g in sk.edges
+            if g.color == j
+            for h in sk.edges
+            if h.color == i and g.source == h.range
+        ]
+        pair_rules = [
+            r
+            for r in well_formed
+            if edge[r.first].color == i and edge[r.second].color == j
+        ]
+        fwd_count: dict[tuple[str, str], int] = {}
+        bwd_count: dict[tuple[str, str], int] = {}
+        for r in pair_rules:
+            fwd_count[(r.first, r.second)] = fwd_count.get((r.first, r.second), 0) + 1
+            key = (r.swapped_first, r.swapped_second)
+            bwd_count[key] = bwd_count.get(key, 0) + 1
+        for side, composable, counts in (
+            ("forward", forward, fwd_count),
+            ("backward", backward, bwd_count),
+        ):
+            for pair in sorted(composable):
+                n = counts.pop(pair, 0)
+                if n == 0:
+                    failures.append(
+                        Failure(
+                            "missing_square",
+                            pair,
+                            f"no factorization for the composable pair {pair[0]}.{pair[1]}",
+                        )
+                    )
+                elif n > 1:
+                    failures.append(
+                        Failure(
+                            "duplicate_square",
+                            pair,
+                            f"{n} factorizations for the composable pair {pair[0]}.{pair[1]}",
+                        )
+                    )
+            for pair in sorted(counts):
+                failures.append(
+                    Failure(
+                        "not_composable",
+                        pair,
+                        f"rule {side} side {pair[0]}.{pair[1]} is not a composable pair",
+                    )
+                )
+
+    return ValidationReport("squares", not failures, tuple(failures))
 
 
 def all_words(sk: Skeleton, n: Degree, range_vertex: str | None = None):
@@ -361,8 +477,9 @@ def loop_gauge_automorphism(f: AlgebraElement, ts: tuple[complex, ...]) -> Algeb
 
 
 # The groupoid and its cylinders by the definition: compare every tail of x
-# with every tail of y, and prepend to every space element.  References for
-# the tail join and the table lookups of `kgraphs.groupoid`.
+# with every tail of y, or join the factorization table on tails, and prepend
+# to every space element.  References for the source blocks and the table
+# lookups of `kgraphs.groupoid`.
 
 
 def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
@@ -385,6 +502,32 @@ def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
                     if label not in found or wit[0].coords < found[label][0].coords:
                         found[label] = wit
     elements = [GroupoidElement(x, m, y, witness=found[(x, m, y)]) for (x, m, y) in found]
+    return FiniteGroupoid(space, elements)
+
+
+def tail_join_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
+    """Every (x, p - q, y) with matching tails at shifts p, q, by a join on tails.
+
+    A join: each (x, p) is bucketed under its tail, pairs within a bucket are
+    elements, and the least p is kept as the witness.  On an exact space this
+    is the whole path groupoid.  On a truncated space only witnesses within
+    the recorded prefixes are visible, so the result is not `complete`.
+    """
+    buckets: dict[pth.Path, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, row in enumerate(space.factors):
+        for p, (_, tail) in row.items():
+            buckets.setdefault(tail, []).append((i, p))
+    found: dict[tuple[int, tuple[int, ...], int], tuple] = {}
+    for entries in buckets.values():
+        for ix, p in entries:
+            for iy, q in entries:
+                label = (ix, tuple(a - b for a, b in zip(p, q)), iy)
+                if label not in found or p < found[label][0]:
+                    found[label] = (p, q)
+    elements = [
+        GroupoidElement(x, m, y, witness=(Degree(p), Degree(q)))
+        for (x, m, y), (p, q) in found.items()
+    ]
     return FiniteGroupoid(space, elements)
 
 

@@ -384,6 +384,19 @@ def test_cuntz_krieger_rejects_singular_support(setup_b):
         alg.cuntz_krieger_sides(Gb, VertexFunction.delta("w"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_cuntz_krieger_sides_emit_no_warning(setup_b, setup_e):
+    """Regular support warns nowhere; off-regular support raises before any warning."""
+    for sk, _, _, Gb in (setup_b, setup_e):
+        regular = kg.classify_vertices(sk).regular
+        f = VertexFunction({v: 1 + n for n, v in enumerate(regular)})
+        lhs, rhs = alg.cuntz_krieger_sides(Gb, f)
+        assert lhs == rhs
+        for source in kg.classify_vertices(sk).sources:
+            with pytest.raises(ValueError, match="regular"):
+                alg.cuntz_krieger_sides(Gb, VertexFunction({regular[0]: 1, source: 2}))
+
+
 @pytest.mark.parametrize("which", ["b", "e"])
 def test_cuntz_krieger_suite(which, setup_b, setup_e):
     _, _, _, Gb = setup_b if which == "b" else setup_e

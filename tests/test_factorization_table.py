@@ -1,11 +1,13 @@
 """The factorization table of `FinitePathSpace` and the code that reads it.
 
-The tail join of `build_path_groupoid` and the table lookups of `cylinder`
-are checked against the all-pairs build and the prepend-based cylinder kept
-in `oracles.py`.
+The source blocks of `build_path_groupoid` and the table lookups of
+`cylinder` are checked against the tail join, the all-pairs build and the
+prepend-based cylinder kept in `oracles.py`.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -17,8 +19,9 @@ from kgraphs.boundary import FinitePathSpace, PathSpaceElement
 from kgraphs.cli import main
 from kgraphs.skeleton import Degree, degree_box
 
-from conftest import instance_path
-from oracles import all_pairs_path_groupoid, prepend_cylinder
+from conftest import instance_path, line_document
+from oracles import all_pairs_path_groupoid, prepend_cylinder, tail_join_path_groupoid
+from test_verify_digests import tree_document
 
 
 def grid(k, shape):
@@ -42,12 +45,35 @@ def spaces(instance_a, instance_b, instance_c, instance_e):
     return out
 
 
+def same_groupoid(G, oracle) -> bool:
+    return [(g.label(), g.witness) for g in G] == [(g.label(), g.witness) for g in oracle]
+
+
 def test_tail_join_equals_the_all_pairs_build(spaces):
+    """The source-block build equals the tail join and the all-pairs build."""
     for name, space in spaces.items():
         G, oracle = kg.build_path_groupoid(space), all_pairs_path_groupoid(space)
-        assert [g.label() for g in G] == [g.label() for g in oracle], name
-        assert [g.witness for g in G] == [g.witness for g in oracle], name
+        assert same_groupoid(G, oracle), name
+        assert same_groupoid(G, tail_join_path_groupoid(space)), name
         assert G.complete == oracle.complete == space.is_exact
+
+
+def test_source_blocks_equal_the_tail_join_on_larger_spaces(instance_a, instance_c):
+    skeletons = {
+        "grid-3x3": grid(2, (3, 3)),
+        "grid-2x4": grid(2, (2, 4)),
+        "line-12": kg.load_skeleton(line_document(12)),
+        "tree-13": kg.load_skeleton(tree_document(3, 13)),
+    }
+    spaces = {f"{name}-full": kg.enumerate_path_space(sk) for name, sk in skeletons.items()}
+    spaces |= {f"{name[:-5]}-boundary": kg.boundary_paths(s) for name, s in spaces.items()}
+    spaces["a-4,4"] = kg.enumerate_path_space(instance_a, bound=Degree((4, 4)))
+    spaces["c-2,2,2"] = kg.enumerate_path_space(instance_c, bound=Degree((2, 2, 2)))
+    for name, space in spaces.items():
+        G = kg.build_path_groupoid(space)
+        assert same_groupoid(G, tail_join_path_groupoid(space)), name
+        blocks = Counter(pth.source(space.skeleton, el.path) for el in space.elements)
+        assert len(G) == sum(n * n for n in blocks.values()), name
 
 
 def test_factors_are_factorize_and_index_of_factors_round_trips(spaces):

@@ -9,7 +9,8 @@ import kgraphs as kg
 from kgraphs.skeleton import Degree, degree_box
 
 import oracles as orc
-from conftest import instance_path, load_instance
+from conftest import instance_path, line_document, load_instance
+from test_validate_digests import DOCUMENTS
 
 
 def test_load_two_vertex_instance(instance_b):
@@ -215,6 +216,35 @@ def test_acyclicity_agrees_with_the_topological_sort():
     verdicts = [kg.is_acyclic(sk) for sk in skeletons]
     assert verdicts == [orc.graphlib_is_acyclic(sk) for sk in skeletons]
     assert 500 < sum(verdicts) < 2500
+
+
+def test_validation_builds_no_reachable_sets():
+    """A 2,000-vertex line validates without every vertex's reachable set."""
+    sk = kg.load_skeleton(line_document(1999))
+    assert all(report.passed for report in kg.validate(sk))
+    assert kg.is_acyclic(sk)
+    assert "descendants" not in vars(sk)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 3), (3, 3), (1, 1, 1), (2, 1, 2), (1, 1, 1, 1)], ids=str
+)
+def test_square_report_equals_the_rescan_on_grids(shape):
+    sk = kg.grid_skeleton(len(shape), Degree(shape)).skeleton
+    assert kg.validate_squares(sk) == orc.rescan_validate_squares(sk)
+    assert kg.validate_squares(sk).passed
+
+
+def test_square_report_equals_the_rescan_on_fixed_instances():
+    skeletons = [load_instance(name) for name in "abcde"]
+    skeletons += [kg.load_skeleton(doc) for doc in DOCUMENTS.values()]
+    skeletons += [_two_loop_instance(perm, PAIRS32) for perm in permutations(PAIRS21)]
+    kinds = set()
+    for sk in skeletons:
+        report = kg.validate_squares(sk)
+        assert report == orc.rescan_validate_squares(sk)
+        kinds.update(f.kind for f in report.failures)
+    assert kinds == {"invalid_colors", "endpoint_mismatch", "missing_square", "duplicate_square"}
 
 
 def test_acyclic_implies_path_degrees_bounded(instance_b, instance_e):
