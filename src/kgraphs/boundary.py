@@ -5,7 +5,7 @@ paths, and exhaustiveness and boundary membership reduce to maximal paths
 (`minimal_exhaustive_sets`, `boundary_paths`).  On cyclic skeletons only a
 truncated view is available: elements are prefix classes up to a degree
 bound, with per-color markers recording whether extensions continue past the
-bound or run forever (cycle reachability).
+bound or run forever (read off `Skeleton.cycle_colors`).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
 splits, built on first use (`factors`, `index_of_factors`); the groupoid
@@ -115,19 +115,18 @@ def minimal_exhaustive_sets(sk: Skeleton, vertex_id: str) -> tuple[ExhaustiveSet
         if not sk.edges_by_range[pth.source(sk, g)]
     ]
     found: list[tuple[int, ...]] = []
-
-    def grow(chosen: tuple[int, ...], mask: int, banned: int) -> None:
+    branches: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # chosen, mask, banned
+    while branches:
+        chosen, mask, banned = branches.pop()
         row = next((r for r in rows if not r & mask), None)
         if row is None:
             found.append(tuple(sorted(chosen)))
-            return
+            continue
         for i in [i for i in range(len(pool)) if (row & ~banned) >> i & 1]:
             taken = mask | 1 << i
             if all(any(r & taken == 1 << c for r in rows) for c in chosen):
-                grow(chosen + (i,), taken, banned)
+                branches.append((chosen + (i,), taken, banned))
             banned |= 1 << i
-
-    grow((), 0, 0)
     found.sort(key=lambda combo: (len(combo), combo))
     return tuple(
         ExhaustiveSet(vertex_id, tuple(pool[i] for i in combo)) for combo in found
@@ -140,8 +139,8 @@ class PathSpaceElement:
 
     Exact elements are plain paths.  A truncated element records the path
     seen up to the bound plus, per color, whether extensions continue past
-    it (`extendable`) and whether they can continue forever (`unbounded`,
-    from cycle reachability).
+    it (`extendable`) and whether they can continue forever (`unbounded`:
+    the color is in `Skeleton.cycle_colors` at the tail's source).
     """
 
     path: Path
@@ -223,30 +222,11 @@ class FinitePathSpace:
         return self.mode == "exact"
 
 
-def _color_unbounded(sk: Skeleton, vertex_id: str) -> tuple[bool, ...]:
-    """Per color: can extensions from the vertex grow that coordinate forever?"""
-    reach = sk.descendants[vertex_id] | {vertex_id}
-    out = []
-    for c in range(1, sk.rank + 1):
-        out.append(
-            any(
-                e.color == c and sk.edge_on_cycle(e.id)
-                for v in reach
-                for e in sk.edges_by_range[v]
-            )
-        )
-    return tuple(out)
-
-
 def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
-    tail_vertex = pth.source(sk, p)
-    extendable = tuple(
-        any(e.color == c for e in sk.edges_by_range[tail_vertex])
-        for c in range(1, sk.rank + 1)
-    )
-    return PathSpaceElement(
-        p, truncated=True, extendable=extendable, unbounded=_color_unbounded(sk, tail_vertex)
-    )
+    tail, colors = pth.source(sk, p), range(1, sk.rank + 1)
+    extendable = tuple(any(e.color == c for e in sk.edges_by_range[tail]) for c in colors)
+    unbounded = tuple(c in sk.cycle_colors[tail] for c in colors)
+    return PathSpaceElement(p, truncated=True, extendable=extendable, unbounded=unbounded)
 
 
 def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePathSpace:

@@ -202,7 +202,7 @@ def paths_with_range(sk: Skeleton, vertex_id: str) -> tuple[Path, ...]:
     """All paths (every degree) ranged at the vertex; requires that set finite."""
     if vertex_id not in sk.vertex_ids:
         raise ValueError(f"unknown vertex {vertex_id!r}")
-    if sk.has_infinite_extensions(vertex_id):
+    if sk.cycle_colors[vertex_id]:
         raise ExactModeError(
             f"vertex {vertex_id!r} reaches a cycle: its path set is infinite"
         )

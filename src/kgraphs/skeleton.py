@@ -8,7 +8,10 @@ squares gives unique factorization at mixed degree 2; coherence of the
 squares on three-colored triples (the hexagon condition) extends it to all
 degrees.  This module loads presentations and validates both conditions by
 enumeration: one count of the square sides, one pass over the composable
-pairs.  Acyclicity is one peel (Kahn); reachability and DOT export remain.
+pairs.  One table, `Skeleton.cycle_colors`, built by one pass of Tarjan's
+strongly-connected-component algorithm, records which colors can grow
+forever from each vertex; acyclicity, exact mode and the truncated markers
+all read it.  DOT export remains.
 """
 
 from __future__ import annotations
@@ -170,35 +173,61 @@ class Skeleton:
         return table
 
     @cached_property
-    def descendants(self) -> dict[str, frozenset[str]]:
-        """Vertices reachable from each vertex by nonempty range-to-source walks."""
-        step: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            step[e.range].add(e.source)
-        out = {}
-        for v in self.vertex_ids:
-            seen: set[str] = set()
-            frontier = list(step[v])
-            while frontier:
-                u = frontier.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                frontier.extend(step[u])
-            out[v] = frozenset(seen)
+    def cycle_colors(self) -> dict[str, frozenset[int]]:
+        """Colors of the cycle edges that range-to-source walks from each vertex reach.
+
+        One iterative pass of Tarjan's strongly-connected-component algorithm,
+        O(V + E).  An edge lies on a cycle iff its ends share a component, and
+        a component closes after every component it steps to: its set is its
+        own edges' colors joined with theirs.
+        """
+        number: dict[str, int] = {}
+        low: dict[str, int] = {}
+        at: dict[str, int] = {}  # stack position of each vertex still on the stack
+        stack: list[str] = []
+        work: list[tuple[str, Iterator[Edge]]] = []  # the walk's frames: vertex, edges left
+        out: dict[str, frozenset[int]] = {}
+
+        def push(v: str) -> None:
+            number[v] = low[v] = len(number)
+            at[v] = len(stack)
+            stack.append(v)
+            work.append((v, iter(self.edges_by_range[v])))
+
+        for root in self.vertices:
+            if root.id not in number:
+                push(root.id)
+            while work:
+                v, steps = work[-1]
+                for e in steps:
+                    if e.source not in number:
+                        push(e.source)
+                        break
+                    if e.source in at:
+                        low[v] = min(low[v], number[e.source])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == number[v]:
+                        # v roots the component stack[at[v]:], exactly the edge ends still in `at`.
+                        component = stack[at[v] :]
+                        del stack[at[v] :]
+                        colors: set[int] = set()
+                        for w in component:
+                            for e in self.edges_by_range[w]:
+                                if e.source in at:
+                                    colors.add(e.color)
+                                else:
+                                    colors |= out[e.source]
+                        for w in component:
+                            del at[w]
+                        out.update(dict.fromkeys(component, frozenset(colors)))
         return out
 
     def color_of(self, edge_id: str) -> int:
         return self.edge_by_id[edge_id].color
-
-    def edge_on_cycle(self, edge_id: str) -> bool:
-        e = self.edge_by_id[edge_id]
-        return e.range in self.descendants[e.source] or e.range == e.source
-
-    def has_infinite_extensions(self, vertex_id: str) -> bool:
-        """True when the set of paths ranged at the vertex is infinite."""
-        reach = self.descendants[vertex_id] | {vertex_id}
-        return any(self.edge_on_cycle(e.id) for v in reach for e in self.edges_by_range[v])
 
 
 @dataclass(frozen=True)
@@ -436,19 +465,8 @@ def validate(sk: Skeleton) -> tuple[ValidationReport, ValidationReport]:
 
 
 def is_acyclic(sk: Skeleton) -> bool:
-    """True iff the underlying directed multigraph has no directed cycle.
-
-    Kahn's peel: a vertex that no remaining edge leaves is removed with the
-    edges ranged at it; every vertex goes exactly when there is no cycle.
-    """
-    pending = Counter(e.source for e in sk.edges)
-    peeled = [v.id for v in sk.vertices if not pending[v.id]]
-    for v in peeled:
-        for e in sk.edges_by_range[v]:
-            pending[e.source] -= 1
-            if not pending[e.source]:
-                peeled.append(e.source)
-    return len(peeled) == len(sk.vertices)
+    """True iff the underlying directed multigraph has no directed cycle."""
+    return not any(sk.cycle_colors.values())
 
 
 def export_dot(sk: Skeleton) -> str:

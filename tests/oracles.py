@@ -6,10 +6,11 @@ genuine two-route check.  Words are tuples of edge ids read left to right
 from the range; two words name the same path exactly when one rewrites to
 the other by single square swaps.
 
-The skeleton oracles sort the multigraph topologically and rescan every
-pair of edges once per color pair and side, with separate counters for the
-two sides of the squares, instead of peeling vertices and counting both
-sides in one pass over the composable pairs.
+The skeleton oracles sort the multigraph topologically, close every
+vertex's reachable set, and rescan every pair of edges once per color pair
+and side, with separate counters for the two sides of the squares, instead
+of reading one strongly-connected-component pass and counting both sides in
+one pass over the composable pairs.
 
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
 (x, m + n, z), pair by pair instead of reading the groupoid's index arrays,
@@ -91,6 +92,35 @@ def graphlib_is_acyclic(sk: Skeleton) -> bool:
     except graphlib.CycleError:
         return False
     return True
+
+
+def reachable_cycle_colors(sk: Skeleton, vertex_id: str) -> frozenset[int]:
+    """Colors of the cycle edges reachable from the vertex, by reachable sets.
+
+    Every vertex's set of descendants (nonempty range-to-source walks) is
+    closed by a frontier search; an edge lies on a cycle when it is a loop or
+    its range descends from its source.
+    """
+    descendants: dict[str, frozenset[str]] = {}
+
+    def reach(v: str) -> frozenset[str]:
+        if v not in descendants:
+            seen: set[str] = set()
+            frontier = [e.source for e in sk.edges_by_range[v]]
+            while frontier:
+                u = frontier.pop()
+                if u not in seen:
+                    seen.add(u)
+                    frontier.extend(e.source for e in sk.edges_by_range[u])
+            descendants[v] = frozenset(seen)
+        return descendants[v]
+
+    return frozenset(
+        e.color
+        for v in reach(vertex_id) | {vertex_id}
+        for e in sk.edges_by_range[v]
+        if e.range == e.source or e.range in reach(e.source)
+    )
 
 
 def rescan_validate_squares(sk: Skeleton) -> ValidationReport:

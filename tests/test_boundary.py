@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import kgraphs as kg
 from kgraphs.skeleton import Degree, ExactModeError, degree_box
 
 import oracles as orc
+from conftest import line_document
 
 
 # --- vertex classification ------------------------------------------------
@@ -331,3 +333,47 @@ def test_boundary_report_shape(instance_b):
     assert report["boundary_size"] == 2
     assert report["classification"]["regular"] == ["v"]
     assert len(report["elements"]) == 3
+
+
+def test_minimal_exhaustive_sets_of_a_wide_star_need_no_deep_recursion():
+    """The 300 edges into n0 form one minimal set: a search 300 choices deep."""
+    leaves = [f"n{i:03d}" for i in range(1, 301)]
+    sk = kg.load_skeleton(
+        {
+            "rank": 1,
+            "vertices": [{"id": v} for v in ["n0", *leaves]],
+            "edges": [
+                {"id": f"e{v}", "color": 1, "range": "n0", "source": v} for v in leaves
+            ],
+        }
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        found = kg.minimal_exhaustive_sets(sk, "n0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [ex.members for ex in found] == [
+        (kg.vertex_path(sk, "n0"),),
+        tuple(kg.edge_path(sk, f"e{v}") for v in leaves),
+    ]
+
+
+def test_truncated_markers_on_a_long_line_equal_the_oracle():
+    """A 200-vertex line with a loop at its far end and a source w before v0."""
+    doc = line_document(199)
+    doc["vertices"].append({"id": "w"})
+    doc["edges"] += [
+        {"id": "loop", "color": 1, "range": "v199", "source": "v199"},
+        {"id": "f", "color": 1, "range": "v0", "source": "w"},
+    ]
+    sk = kg.load_skeleton(doc)
+    space = kg.enumerate_path_space(sk, Degree((2,)))
+    tails = {kg.source(sk, el.path) for el in space}
+    grows = {v: 1 in orc.reachable_cycle_colors(sk, v) for v in tails}
+    for el in space:
+        tail = kg.source(sk, el.path)
+        assert el.extendable == (bool(sk.edges_by_range[tail]),)
+        assert el.unbounded == (grows[tail],)
+        assert el.extended_degree == (float("inf") if grows[tail] else el.degree.coords[0],)
+    assert list(grows.values()).count(False) == 1 and len(space) > 600

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ import kgraphs as kg
 from kgraphs.skeleton import Degree, degree_box
 
 import oracles as orc
+from conftest import line_document
 
 
 def box(*coords):
@@ -374,3 +376,16 @@ def test_path_from_word_needs_vertex_for_empty(instance_b):
     with pytest.raises(ValueError, match="empty word"):
         kg.path_from_word(instance_b, [])
     assert kg.path_from_word(instance_b, [], at="v") == kg.vertex_path(instance_b, "v")
+
+
+def test_paths_at_the_end_of_a_long_line_build_no_reachable_sets():
+    """v1999 of a 2,000-vertex line has one path; finding it costs no V^2 table."""
+    sk = kg.load_skeleton(line_document(1999))
+    tracemalloc.start()
+    try:
+        paths = kg.paths_with_range(sk, "v1999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths == (kg.vertex_path(sk, "v1999"),)
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"

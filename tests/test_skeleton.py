@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -224,6 +225,40 @@ def test_validation_builds_no_reachable_sets():
     assert all(report.passed for report in kg.validate(sk))
     assert kg.is_acyclic(sk)
     assert "descendants" not in vars(sk)
+
+
+def chained_multigraph(rng: random.Random) -> kg.Skeleton:
+    """Rank 1-3 on up to 9 vertices: blocks of vertices, each maybe on a cycle,
+    chained by range-to-source edges, plus random edges (self-loops and
+    parallel edges allowed), every edge of a random color."""
+    rank, n = rng.randint(1, 3), rng.randint(1, 9)
+    vertices = [f"v{i}" for i in range(n)]
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    ends = [(rng.choice(a), rng.choice(b)) for a, b in zip(blocks, blocks[1:])]
+    for block in blocks:
+        if rng.random() < 0.4:
+            ends += [(block[i - 1], v) for i, v in enumerate(block)]
+    ends += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 4))]
+    edges = [
+        {"id": f"e{i}", "color": rng.randint(1, rank), "range": r, "source": s}
+        for i, (r, s) in enumerate(ends)
+    ]
+    return kg.load_skeleton(
+        {"rank": rank, "vertices": [{"id": v} for v in vertices], "edges": edges}
+    )
+
+
+def test_cycle_colors_equal_the_reachable_set_oracle():
+    rng = random.Random(10)
+    skeletons = [load_instance(name) for name in "abcde"]
+    skeletons += [chained_multigraph(rng) for _ in range(1500)]
+    sizes = Counter()
+    for sk in skeletons:
+        for v in sk.vertices:
+            assert sk.cycle_colors[v.id] == orc.reachable_cycle_colors(sk, v.id), v.id
+            sizes[len(sk.cycle_colors[v.id])] += 1
+    assert min(sizes[0], sizes[1], sizes[2], sizes[3]) > 100, sizes
 
 
 @pytest.mark.parametrize(
