@@ -105,27 +105,41 @@ def minimal_exhaustive_sets(sk: Skeleton, vertex_id: str) -> tuple[ExhaustiveSet
     paths' prefix sets.  Branch on the first maximal path not yet hit, bar
     each member from its later sibling branches, and drop a choice that
     leaves a chosen member hitting no maximal path alone; list by (size,
-    pool indices), the order of a smallest-first search over subsets.
+    pool indices), the order of a smallest-first search over subsets.  Each
+    branch keeps, per maximal path, the number of chosen members it holds,
+    so a choice is checked against the rows of the chosen members only.
     """
     pool = pth.paths_with_range(sk, vertex_id)
     index = {p: i for i, p in enumerate(pool)}
     rows = [
-        sum(1 << index[pth.factorize(sk, g, m)[0]] for m in degree_box(g.degree))
+        sorted(index[pth.factorize(sk, g, m)[0]] for m in degree_box(g.degree))
         for g in pool
         if not sk.edges_by_range[pth.source(sk, g)]
     ]
+    bits = [sum(1 << i for i in row) for row in rows]
+    holding: list[list[int]] = [[] for _ in pool]  # per pool index, the rows holding it
+    for r, row in enumerate(rows):
+        for i in row:
+            holding[i].append(r)
     found: list[tuple[int, ...]] = []
-    branches: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # chosen, mask, banned
+    # chosen, banned, and per row the number of chosen members it holds
+    branches: list[tuple[tuple[int, ...], int, list[int]]] = [((), 0, [0] * len(rows))]
     while branches:
-        chosen, mask, banned = branches.pop()
-        row = next((r for r in rows if not r & mask), None)
-        if row is None:
+        chosen, banned, counts = branches.pop()
+        if 0 not in counts:
             found.append(tuple(sorted(chosen)))
             continue
-        for i in [i for i in range(len(pool)) if (row & ~banned) >> i & 1]:
-            taken = mask | 1 << i
-            if all(any(r & taken == 1 << c for r in rows) for c in chosen):
-                branches.append((chosen + (i,), taken, banned))
+        for i in rows[counts.index(0)]:
+            if banned >> i & 1:
+                continue
+            # Each chosen member must still hold some row alone that i is not in.
+            if all(
+                any(counts[r] == 1 and not bits[r] >> i & 1 for r in holding[c]) for c in chosen
+            ):
+                grown = counts.copy()
+                for r in holding[i]:
+                    grown[r] += 1
+                branches.append((chosen + (i,), banned, grown))
             banned |= 1 << i
     found.sort(key=lambda combo: (len(combo), combo))
     return tuple(

@@ -582,7 +582,9 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
 # Boundary membership by the definition: minimal exhaustive sets by a search
 # over all subsets of a vertex's paths, and every tail split afresh.  The
 # references for the transversal search, the factor-table reads of
-# `is_boundary` and the source rule of `boundary_paths`.
+# `is_boundary` and the source rule of `boundary_paths`; and the transversal
+# search rescanning every row per chosen member, the reference for its
+# per-row counts on stars.
 
 
 def subset_search_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
@@ -598,6 +600,39 @@ def subset_search_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
                 continue
             if all(any(compatible[i][j] for j in combo) for i in range(len(pool))):
                 found.append(combo)
+    return tuple(
+        ExhaustiveSet(vertex_id, tuple(pool[i] for i in combo)) for combo in found
+    )
+
+
+def rescan_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
+    """The transversal search of `minimal_exhaustive_sets`, rescanning every row.
+
+    Each choice re-checks every chosen member against all maximal paths
+    (O(n^3) on an n-leaf star) instead of keeping per-row counts of the
+    chosen members.
+    """
+    pool = pth.paths_with_range(sk, vertex_id)
+    index = {p: i for i, p in enumerate(pool)}
+    rows = [
+        sum(1 << index[pth.factorize(sk, g, m)[0]] for m in degree_box(g.degree))
+        for g in pool
+        if not sk.edges_by_range[pth.source(sk, g)]
+    ]
+    found: list[tuple[int, ...]] = []
+    branches: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # chosen, mask, banned
+    while branches:
+        chosen, mask, banned = branches.pop()
+        row = next((r for r in rows if not r & mask), None)
+        if row is None:
+            found.append(tuple(sorted(chosen)))
+            continue
+        for i in [i for i in range(len(pool)) if (row & ~banned) >> i & 1]:
+            taken = mask | 1 << i
+            if all(any(r & taken == 1 << c for r in rows) for c in chosen):
+                branches.append((chosen + (i,), taken, banned))
+            banned |= 1 << i
+    found.sort(key=lambda combo: (len(combo), combo))
     return tuple(
         ExhaustiveSet(vertex_id, tuple(pool[i] for i in combo)) for combo in found
     )

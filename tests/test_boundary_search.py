@@ -3,7 +3,9 @@
 `minimal_exhaustive_sets` (minimal transversals of the maximal paths),
 `is_boundary` (reading the factorization table) and `boundary_paths` (the
 source rule) are checked against the subset search, the `segment`-based
-membership test and the `is_boundary` filter kept in `oracles.py`.
+membership test and the `is_boundary` filter kept in `oracles.py`.  The
+transversal search is also checked against its rescanning form on the same
+instances and on stars, whose one all-edges set is the deep case.
 """
 
 from __future__ import annotations
@@ -164,3 +166,32 @@ def test_not_locally_convex_minimal_sets_and_boundary():
         f, g, kg.vertex_path(sk, "u"), kg.vertex_path(sk, "w")
     }
 
+
+def star(leaves: int, spoke: int) -> kg.Skeleton:
+    """`leaves` paths of `spoke` edges each, all with range n0."""
+    vertices, edges = ["n0"], []
+    for leaf in range(leaves):
+        below = "n0"
+        for step in range(spoke):
+            vertices.append(f"s{leaf}_{step}")
+            edges.append({"id": f"e{leaf}_{step}", "color": 1, "range": below, "source": vertices[-1]})
+            below = vertices[-1]
+    return kg.load_skeleton({"rank": 1, "vertices": [{"id": v} for v in vertices], "edges": edges})
+
+
+def check_against_the_rescan(sk: kg.Skeleton) -> None:
+    for v in sk.vertices:
+        assert kg.minimal_exhaustive_sets(sk, v.id) == orc.rescan_minimal_exhaustive_sets(sk, v.id), v.id
+
+
+def test_generated_instances_match_the_rescan(skeleton):
+    check_against_the_rescan(skeleton)
+
+
+@pytest.mark.parametrize(("leaves", "spoke"), [(1, 1), (2, 1), (5, 1), (60, 1), (3, 2), (4, 3), (12, 2)])
+def test_stars_match_the_rescan(leaves, spoke):
+    check_against_the_rescan(star(leaves, spoke))
+
+
+def test_star_products_match_the_rescan():
+    check_against_the_rescan(product(star(3, 1), star(2, 2)))
