@@ -17,9 +17,9 @@ Python's complex product and abs(complex) do (numpy's multiply and `np.abs`
 differ in the last bits), so every deviation equals a coefficient loop's; the
 regular-representation checks keep numpy's matmul and `np.abs`, as before.
 
-`generation_check` certifies generation without a span closure: the |G|
-cylinder words s_x s_y* are unitriangular in the delta basis, so they span
-it.  Where a word does not check, the span closure `algebra_dimension` decides.
+`generation_check` certifies generation without a span closure: on a full
+groupoid (`FiniteGroupoid.is_full`) the path operators s_x are cylinders, so
+the |G| words s_x s_y* are unitriangular in the delta basis and span it.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 
 import numpy as np
 
 from .skeleton import Skeleton
 from .boundary import classify_vertices
 from .groupoid import FiniteGroupoid
+from .paths import source
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
@@ -414,7 +414,12 @@ def support_levels(f: AlgebraElement) -> set[tuple[int, ...]]:
 
 
 class RegularRepresentation:
-    """Per-unit matrix representation: convolution acting on each source fiber."""
+    """Per-unit matrix representation: convolution acting on each source fiber.
+
+    entries[u][r, c] is `G.product` of u's r-th fiber element and the c-th one's inverse
+    (KeyError if either is missing).  A full groupoid's fibers list u's source block in
+    label order, so a block's units share the array of its least member, met first.
+    """
 
     def __init__(self, G: FiniteGroupoid):
         self.groupoid = G
@@ -422,17 +427,14 @@ class RegularRepresentation:
         for i, g in enumerate(G.elements):
             fibers.get(g.y, []).append(i)
         self.bases = {u: tuple(fiber) for u, fiber in fibers.items()}
-        # entries[u][row, col] = index of gamma beta^{-1} = (x, m - n, x') for gamma = (x, m, u)
-        # and beta = (x', n, u).  The unit's row holds each beta^{-1}, so a missing inverse,
-        # like a missing composite, raises KeyError.
         self.entries: dict[int, np.ndarray] = {}
-        index_of = G.index_of
         for u, fiber in self.bases.items():
-            heads = [(G.elements[i].x, G.elements[i].m) for i in fiber]
-            self.entries[u] = np.array(
-                [[index_of((x, tuple(map(sub, m, n)), x2)) for x2, n in heads] for x, m in heads],
-                dtype=np.intp,
-            )
+            if G.is_full and (least := G.elements[fiber[0]].x) < u:
+                self.entries[u] = self.entries[least]
+            else:
+                self.entries[u] = np.array(
+                    [[G.product(i, G.inverse[j]) for j in fiber] for i in fiber], dtype=np.intp
+                )
 
     def matrix(self, f: AlgebraElement, unit: int) -> np.ndarray:
         return f.values[self.entries[unit]]
@@ -532,6 +534,7 @@ def verify_algebra_identities(
     """Convolution associativity, involution, I-norm, regular representation."""
     rng = np.random.default_rng(seed)
     rep = RegularRepresentation(G)
+    tables = list({id(t): t for t in rep.entries.values()}.values())  # one per source block if full
     dev_assoc = dev_dist = dev_inv = dev_norm = dev_rep = dev_adj = 0.0
     if len(G) <= 50:
         # (delta_a delta_b) delta_c and delta_a (delta_b delta_c) are deltas or 0, so they
@@ -564,10 +567,10 @@ def verify_algebra_identities(
         )
         dev_norm = max(dev_norm, i_norm(fg) - i_norm(f) * i_norm(g))
         f_star = involution(f)
-        for u in rep.entries:
-            mf = rep.matrix(f, u)
-            dev_rep = max(dev_rep, float(np.max(np.abs(rep.matrix(fg, u) - mf @ rep.matrix(g, u)))))
-            dev_adj = max(dev_adj, float(np.max(np.abs(rep.matrix(f_star, u) - mf.conj().T))))
+        for t in tables:
+            mf = f.values[t]
+            dev_rep = max(dev_rep, float(np.max(np.abs(fg.values[t] - mf @ g.values[t]))))
+            dev_adj = max(dev_adj, float(np.max(np.abs(f_star.values[t] - mf.conj().T))))
     return [
         _report("convolution_associativity", samples, seed, dev_assoc, tol),
         _report("convolution_distributive", samples, seed, dev_dist, tol),
@@ -749,43 +752,34 @@ def generation_check(G: FiniteGroupoid) -> GenerationReport:
 
     The whole algebra has the deltas of the elements as a basis, so its
     dimension is |G|.  Let s_v be the projection at v and s_{e.x'} = s_e s_{x'}.
-    Then s_x is the indicator of {(xz, d(x), z)}, and the word s_x s_y* is the
-    cylinder {(xz, d(x) - d(y), yz)}: its leading 1 is at (x, m, y) (z = s(x)),
-    and every other term is at an element whose x is strictly longer.  So the
-    |G| words, ordered by the length of x, are unitriangular in the delta
-    basis and span it.  If the table records a missing composite, or a word
-    does not check or raises KeyError, the span closure `algebra_dimension`
-    decides instead, so a failing report is the span closure's.
+    If G is full (`G.is_full`) and each s_x is 1.0 exactly on {(xz, d(x), z)},
+    each word s_x s_y* is the cylinder {(xz, d(x) - d(y), yz)}: 1 at (x, m, y)
+    and elsewhere only at a longer x.  So the |G| words are unitriangular in
+    the delta basis and span it; none is formed.  Otherwise the span closure
+    `algebra_dimension` decides, so a failing report is the span closure's.
     """
     sk = _require_rank_one(G)
     vertex = {v.id: vertex_operator(G, VertexFunction.delta(v.id)) for v in sk.vertices}
     edge = {e.id: edge_operator(G, EdgeFunction.delta(e.id)) for e in sk.edges}
-    try:
-        if not index_arrays(G).missing and _words_are_unitriangular(G, vertex, edge):
-            return GenerationReport(len(G), len(G), True)
-    except KeyError:
-        pass
+    if G.is_full and _paths_are_cylinders(G, vertex, edge):
+        return GenerationReport(len(G), len(G), True)
     generated = algebra_dimension(g for g in [*vertex.values(), *edge.values()] if g.coefficients)
     return GenerationReport(generated, len(G), generated == len(G))
 
 
-def _words_are_unitriangular(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
-    """Each s_x s_y* is exactly 1.0 at its element, and elsewhere only 1.0 at a longer x."""
-    space = G.space
-    length = [el.path.degree.total for el in space.elements]
+def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
+    """Is each s_x 1.0 exactly on the elements (xz, d(x), z) of G, and 0 elsewhere?"""
+    space, joined = G.space, G.space.index_of_factors
     s: dict[int, AlgebraElement] = {}
-    for i in sorted(range(len(length)), key=length.__getitem__):
-        path = space.elements[i].path
-        if length[i] == 0:
-            s[i] = vertex[path.range]
+    for i in sorted(range(len(space)), key=lambda i: space.elements[i].degree.total):
+        x = space.elements[i].path
+        if x.is_vertex:
+            s[i] = vertex[x.range]
         else:
-            tail = space.index_of(space.factors[i][(1,)][1])
-            s[i] = convolve(edge[path.word[0]], s[tail])
-    adjoint = {i: involution(f) for i, f in s.items()}
-    for g, el in enumerate(G.elements):
-        word = convolve(s[el.x], adjoint[el.y]).coefficients
-        if word.pop(g, None) != 1 or any(
-            c != 1 or length[G.elements[h].x] <= length[el.x] for h, c in word.items()
-        ):
+            s[i] = convolve(edge[x.word[0]], s[space.index_of(space.factors[i][(1,)][1])])
+        tails = space.by_range[source(space.skeleton, x)]
+        xz = [(joined.get((x, space.elements[z].path)), z) for z in tails]
+        cylinder = [G.index_of((a, x.degree.coords, z)) for a, z in xz if a is not None]
+        if s[i].coefficients != dict.fromkeys(cylinder, 1):
             return False
     return True

@@ -231,6 +231,14 @@ class FinitePathSpace:
         """index_of_factors[(head, tail)] is the index of the element head.tail."""
         return {split: i for i, row in enumerate(self.factors) for split in row.values()}
 
+    @cached_property
+    def by_range(self) -> dict[str, list[int]]:
+        """by_range[v] lists the indices of the elements with range v, ascending."""
+        out: dict[str, list[int]] = {}
+        for i, el in enumerate(self.elements):
+            out.setdefault(el.path.range, []).append(i)
+        return out
+
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"

@@ -1,8 +1,9 @@
 """Path arithmetic in a validated rank-k graph.
 
 Paths are stored in color-ascending normal form: all color-1 edges first,
-then color-2, and so on.  Composition and factorization are computed by
-adjacent-transposition rewriting with the skeleton's factorization squares;
+then color-2, and so on.  Composition and factorization are one insertion
+sort by per-letter keys (colors; for `factorize`, head letters first), each
+swap a factorization square of the skeleton, a missing one a `ValueError`;
 on a validated skeleton the rewriting is confluent, so the normal form is
 canonical and path equality is structural equality.
 """
@@ -74,23 +75,20 @@ def _check_word(sk: Skeleton, word: list[str] | tuple[str, ...]) -> None:
             raise ValueError(f"word not composable at {a}.{b}")
 
 
-def _normalize(sk: Skeleton, word: list[str]) -> list[str]:
-    """Bubble the word into color-ascending order, leftmost descent first."""
-    color = sk.color_of
-    swap = sk.swap_map
-    w = list(word)
-    while True:
-        t = next((t for t in range(len(w) - 1) if color(w[t]) > color(w[t + 1])), None)
-        if t is None:
-            return w
-        pair = (w[t], w[t + 1])
-        try:
-            w[t], w[t + 1] = swap[pair]
-        except KeyError:
-            raise ValueError(
-                f"no factorization square for the pair {pair[0]}.{pair[1]}; "
-                "skeleton does not present a rank-k graph"
-            ) from None
+def _normalize(sk: Skeleton, word, keys=None) -> list[str]:
+    """Insertion-sort by per-letter keys (colors by default): a leftmost-descent bubble's swaps."""
+    w, keys = list(word), [sk.color_of(e) for e in word] if keys is None else list(keys)
+    for i in range(1, len(w)):
+        for t in range(i, 0, -1):
+            if keys[t - 1] <= keys[t]:
+                break
+            if (pair := (w[t - 1], w[t])) not in sk.swap_map:
+                raise ValueError(
+                    f"no factorization square for the pair {pair[0]}.{pair[1]}; "
+                    "skeleton does not present a rank-k graph"
+                )
+            w[t - 1 : t + 1], keys[t - 1 : t + 1] = sk.swap_map[pair], (keys[t], keys[t - 1])
+    return w
 
 
 def _from_sorted_word(sk: Skeleton, range_vertex: str, word: list[str]) -> Path:
@@ -132,21 +130,11 @@ def factorize(sk: Skeleton, p: Path, m: Degree) -> tuple[Path, Path]:
     d = p.degree
     if not m <= d:
         raise ValueError(f"cannot factor degree-{m} prefix out of degree-{d} path")
-    color = sk.color_of
-    swap = sk.swap_map
-    word = list(p.word)
-    prefix: list[str] = []
-    for c in range(1, sk.rank + 1):
-        for _ in range(m.coords[c - 1]):
-            t = next(t for t, eid in enumerate(word) if color(eid) == c)
-            while t > 0:
-                word[t - 1], word[t] = swap[(word[t - 1], word[t])]
-                t -= 1
-            prefix.append(word.pop(0))
-    head = _from_sorted_word(sk, p.range, prefix)
-    tail_range = sk.edge_by_id[prefix[-1]].source if prefix else p.range
-    tail = _from_sorted_word(sk, tail_range, _normalize(sk, word))
-    return head, tail
+    # Each color's first m_c letters sort to the front, as the head.
+    keys = [(j >= n, c) for c, (b, n) in enumerate(zip(p.blocks, m.coords)) for j in range(len(b))]
+    word, cut = _normalize(sk, p.word, keys), m.total
+    head = _from_sorted_word(sk, p.range, word[:cut])
+    return head, _from_sorted_word(sk, source(sk, head), word[cut:])
 
 
 def segment(sk: Skeleton, p: Path, lo: Degree, hi: Degree) -> Path:

@@ -12,9 +12,14 @@ and side, with separate counters for the two sides of the squares, instead
 of reading one strongly-connected-component pass and counting both sides in
 one pass over the composable pairs.
 
+The path rewriting oracles sort words by rescanning for the leftmost color
+descent, and factorize by bubbling each head letter to the front in turn,
+instead of one insertion sort over per-letter keys.
+
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
 (x, m + n, z), pair by pair instead of reading the groupoid's index arrays,
-walk every composable triple for the axioms, and build the groupoid and its
+walk every composable triple for the axioms, build the regular
+representation's tables from labels per unit, and build the groupoid and its
 cylinders by factorizing and composing paths afresh instead of reading the
 path space's factorization table.
 
@@ -29,6 +34,8 @@ from __future__ import annotations
 import graphlib
 from itertools import combinations
 
+import numpy as np
+
 from kgraphs import paths as pth
 from kgraphs.algebra import AlgebraElement
 from kgraphs.boundary import (
@@ -40,6 +47,7 @@ from kgraphs.boundary import (
     classify_vertices,
     prepend,
 )
+from kgraphs.paths import Path
 from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement, GroupoidReport
 from kgraphs.skeleton import (
     Degree,
@@ -364,6 +372,51 @@ def rank1_boundary(sk: Skeleton) -> set[tuple[str, tuple[str, ...]]]:
     return boundary
 
 
+# Path rewriting by repeated scans: the references for the insertion sort of
+# `paths._normalize` and for `factorize`, which sorts with it.
+
+
+def bubble_normalize(sk: Skeleton, word) -> list[str]:
+    """Bubble the word into color-ascending order, leftmost descent first."""
+    color = sk.color_of
+    swap = sk.swap_map
+    w = list(word)
+    while True:
+        t = next((t for t in range(len(w) - 1) if color(w[t]) > color(w[t + 1])), None)
+        if t is None:
+            return w
+        pair = (w[t], w[t + 1])
+        try:
+            w[t], w[t + 1] = swap[pair]
+        except KeyError:
+            raise ValueError(
+                f"no factorization square for the pair {pair[0]}.{pair[1]}; "
+                "skeleton does not present a rank-k graph"
+            ) from None
+
+
+def bubble_factorize(sk: Skeleton, p: Path, m: Degree) -> tuple[Path, Path]:
+    """Bubble each head letter to the front, color by color; KeyError on a missing square."""
+    d = p.degree
+    if not m <= d:
+        raise ValueError(f"cannot factor degree-{m} prefix out of degree-{d} path")
+    color = sk.color_of
+    swap = sk.swap_map
+    word = list(p.word)
+    prefix: list[str] = []
+    for c in range(1, sk.rank + 1):
+        for _ in range(m.coords[c - 1]):
+            t = next(t for t, eid in enumerate(word) if color(eid) == c)
+            while t > 0:
+                word[t - 1], word[t] = swap[(word[t - 1], word[t])]
+                t -= 1
+            prefix.append(word.pop(0))
+    head = Path(p.range, tuple(tuple(e for e in prefix if color(e) == c) for c in range(1, sk.rank + 1)))
+    tail_range = sk.edge_by_id[prefix[-1]].source if prefix else p.range
+    tail = bubble_normalize(sk, word)
+    return head, Path(tail_range, tuple(tuple(e for e in tail if color(e) == c) for c in range(1, sk.rank + 1)))
+
+
 # Groupoid labels: convolution and involution by label arithmetic, the
 # reference for the composition table of `FiniteGroupoid`.
 
@@ -467,6 +520,27 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
                             f"{G.elements[i1].label()},{G.elements[i2].label()},{G.elements[i3].label()}"
                         )
     return GroupoidReport(not failures, tuple(failures))
+
+
+# The regular representation's tables by label lookups, one table per unit:
+# the reference for `RegularRepresentation`, which reads `product` once per
+# unit off full groupoids and once per source block on them.
+
+
+def label_regular_entries(G: FiniteGroupoid) -> dict[int, np.ndarray]:
+    """entries[u][row, col]: index of (x, m - n, x') for the fiber's (x, m, u) and (x', n, u).
+
+    One table per unit, each gamma beta^{-1} looked up by its label; a missing
+    label raises KeyError.
+    """
+    entries = {}
+    for u in G.units():
+        heads = [(g.x, g.m) for g in G.elements if g.y == u]
+        entries[u] = np.array(
+            [[G.index_of((x, tuple(a - b for a, b in zip(m, n)), x2)) for x2, n in heads] for x, m in heads],
+            dtype=np.intp,
+        )
+    return entries
 
 
 # Coefficient-by-coefficient loops in plain Python over the nonzero entries:
