@@ -770,13 +770,15 @@ def generation_check(G: FiniteGroupoid) -> GenerationReport:
 def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
     """Is each s_x 1.0 exactly on the elements (xz, d(x), z) of G, and 0 elsewhere?"""
     space, joined = G.space, G.space.index_of_factors
-    s: dict[int, AlgebraElement] = {}
+    s, shorter, length = {}, {}, 0  # s_x of one length, and of the tails one edge shorter
     for i in sorted(range(len(space)), key=lambda i: space.elements[i].degree.total):
         x = space.elements[i].path
+        if x.degree.total > length:
+            shorter, s, length = s, {}, x.degree.total
         if x.is_vertex:
             s[i] = vertex[x.range]
         else:
-            s[i] = convolve(edge[x.word[0]], s[space.index_of(space.factors[i][(1,)][1])])
+            s[i] = convolve(edge[x.word[0]], shorter[space.index_of(space.factors[i][(1,)][1])])
         tails = space.by_range[source(space.skeleton, x)]
         xz = [(joined.get((x, space.elements[z].path)), z) for z in tails]
         cylinder = [G.index_of((a, x.degree.coords, z)) for a, z in xz if a is not None]

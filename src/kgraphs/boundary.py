@@ -260,10 +260,7 @@ def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePat
             )
         elements = [PathSpaceElement(p) for p in pth.enumerate_paths(sk)]
         return FinitePathSpace(sk, "exact", elements)
-    pool = sorted(
-        {p for n in degree_box(bound) for p in pth.all_paths(sk, n)},
-        key=pth.path_sort_key,
-    )
+    pool = pth.enumerate_paths(sk, bound)
     return FinitePathSpace(sk, "truncated", [_truncated_element(sk, p) for p in pool])
 
 

@@ -5,7 +5,8 @@ then color-2, and so on.  Composition and factorization are one insertion
 sort by per-letter keys (colors; for `factorize`, head letters first), each
 swap a factorization square of the skeleton, a missing one a `ValueError`;
 on a validated skeleton the rewriting is confluent, so the normal form is
-canonical and path equality is structural equality.
+canonical and path equality is structural equality.  Enumeration is one
+walk over the composable color-ascending words and rewrites nothing.
 """
 
 from __future__ import annotations
@@ -152,68 +153,58 @@ def vertex_at(sk: Skeleton, p: Path, m: Degree) -> str:
     return source(sk, head)
 
 
-def paths_from(sk: Skeleton, vertex_id: str, n: Degree) -> tuple[Path, ...]:
-    """All degree-n paths ranged at the vertex, in normal form, sorted."""
-    if n.k != sk.rank:
-        raise ValueError(f"degree has {n.k} coordinates, skeleton has rank {sk.rank}")
+def _walk(sk: Skeleton, vertex_id: str, low: Degree | None = None, high: Degree | None = None):
+    """Every path ranged at the vertex with low <= degree <= high, unsorted.
+
+    A path is one composable color-ascending word, so the walk grows words
+    block by block and meets each path once; it rewrites nothing and reads
+    no square, so on a presentation that fails validation it lists words
+    where `compose` may raise.  No `low` is 0; no `high` needs a finite
+    set, so the vertex may reach no cycle.
+    """
+    for d in (low, high):
+        if d is not None and d.k != sk.rank:
+            raise ValueError(f"degree has {d.k} coordinates, skeleton has rank {sk.rank}")
     if vertex_id not in sk.vertex_ids:
         raise ValueError(f"unknown vertex {vertex_id!r}")
-    out: list[Path] = []
-    word: list[str] = []
+    if high is None and sk.cycle_colors[vertex_id]:
+        raise ExactModeError(f"vertex {vertex_id!r} reaches a cycle: its path set is infinite")
+    found: list[tuple[str, tuple]] = [(vertex_id, ())]  # (source, blocks of the colors done)
+    for c in range(1, sk.rank + 1):
+        lo, hi = low.coords[c - 1] if low else 0, high.coords[c - 1] if high else None
+        grown: list[tuple[str, tuple]] = []
+        for at, blocks in found:
+            layer, n = [(at, ())], 0
+            while layer:
+                if n >= lo:
+                    grown += [(s, blocks + (block,)) for s, block in layer]
+                if n == hi:
+                    break
+                layer = [(e.source, block + (e.id,)) for s, block in layer
+                         for e in sk.edges_by_range[s] if e.color == c]
+                n += 1
+        found = grown
+    return [Path(vertex_id, blocks) for _, blocks in found]
 
-    def grow(c: int, left: int, at: str) -> None:
-        if left == 0:
-            if c == sk.rank:
-                out.append(_from_sorted_word(sk, vertex_id, word))
-                return
-            grow(c + 1, n.coords[c], at)
-            return
-        for e in sk.edges_by_range[at]:
-            if e.color == c:
-                word.append(e.id)
-                grow(c, left - 1, e.source)
-                word.pop()
 
-    grow(1, n.coords[0], vertex_id)
-    return sort_paths(out)
+def paths_from(sk: Skeleton, vertex_id: str, n: Degree) -> tuple[Path, ...]:
+    """All degree-n paths ranged at the vertex, in normal form, sorted."""
+    return sort_paths(_walk(sk, vertex_id, n, n))
 
 
 def all_paths(sk: Skeleton, n: Degree) -> tuple[Path, ...]:
     """All paths of degree n, in normal form, sorted."""
-    out: list[Path] = []
-    for v in sk.vertices:
-        out.extend(paths_from(sk, v.id, n))
-    return sort_paths(out)
+    return sort_paths(p for v in sk.vertices for p in _walk(sk, v.id, n, n))
 
 
 def paths_with_range(sk: Skeleton, vertex_id: str) -> tuple[Path, ...]:
     """All paths (every degree) ranged at the vertex; requires that set finite."""
-    if vertex_id not in sk.vertex_ids:
-        raise ValueError(f"unknown vertex {vertex_id!r}")
-    if sk.cycle_colors[vertex_id]:
-        raise ExactModeError(
-            f"vertex {vertex_id!r} reaches a cycle: its path set is infinite"
-        )
-    collected: set[Path] = set()
-    frontier = [vertex_path(sk, vertex_id)]
-    while frontier:
-        nxt: list[Path] = []
-        for p in frontier:
-            if p in collected:
-                continue
-            collected.add(p)
-            for e in sk.edges_by_range[source(sk, p)]:
-                nxt.append(compose(sk, p, edge_path(sk, e.id)))
-        frontier = nxt
-    return sort_paths(collected)
+    return sort_paths(_walk(sk, vertex_id))
 
 
-def enumerate_paths(sk: Skeleton) -> tuple[Path, ...]:
-    """All paths of the graph; requires an acyclic skeleton."""
-    out: set[Path] = set()
-    for v in sk.vertices:
-        out.update(paths_with_range(sk, v.id))
-    return sort_paths(out)
+def enumerate_paths(sk: Skeleton, bound: Degree | None = None) -> tuple[Path, ...]:
+    """All paths of the graph, or those of degree <= bound; no bound needs acyclicity."""
+    return sort_paths(p for v in sk.vertices for p in _walk(sk, v.id, high=bound))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ one pass over the composable pairs.
 
 The path rewriting oracles sort words by rescanning for the leftmost color
 descent, and factorize by bubbling each head letter to the front in turn,
-instead of one insertion sort over per-letter keys.
+instead of one insertion sort over per-letter keys.  The path enumeration
+oracles search breadth-first, composing each path with every edge at its
+source through that rewriting, stopping at a degree bound if one is given,
+and deduplicating with a set, instead of walking color-ascending words.
 
 The groupoid oracles at the end compose labels, (x, m, y)(y, n, z) =
 (x, m + n, z), pair by pair instead of reading the groupoid's index arrays,
@@ -415,6 +418,40 @@ def bubble_factorize(sk: Skeleton, p: Path, m: Degree) -> tuple[Path, Path]:
     tail_range = sk.edge_by_id[prefix[-1]].source if prefix else p.range
     tail = bubble_normalize(sk, word)
     return head, Path(tail_range, tuple(tuple(e for e in tail if color(e) == c) for c in range(1, sk.rank + 1)))
+
+
+# Path enumeration by composition: the references for the color-ascending
+# walk of `paths_with_range`, `enumerate_paths` and the truncated pool.
+
+
+def bfs_paths_with_range(sk: Skeleton, vertex_id: str, bound: Degree | None = None) -> tuple[Path, ...]:
+    """Every path at the vertex (of degree <= bound): extend breadth-first by `compose`."""
+    if vertex_id not in sk.vertex_ids:
+        raise ValueError(f"unknown vertex {vertex_id!r}")
+    if bound is None and sk.cycle_colors[vertex_id]:
+        raise ExactModeError(f"vertex {vertex_id!r} reaches a cycle: its path set is infinite")
+    collected: set[Path] = set()
+    frontier = [pth.vertex_path(sk, vertex_id)]
+    while frontier:
+        nxt: list[Path] = []
+        for p in frontier:
+            if p in collected:
+                continue
+            collected.add(p)
+            for e in sk.edges_by_range[pth.source(sk, p)]:
+                q = pth.compose(sk, p, pth.edge_path(sk, e.id))
+                if bound is None or q.degree <= bound:
+                    nxt.append(q)
+        frontier = nxt
+    return pth.sort_paths(collected)
+
+
+def bfs_enumerate_paths(sk: Skeleton, bound: Degree | None = None) -> tuple[Path, ...]:
+    """The union of the breadth-first searches at every vertex."""
+    out: set[Path] = set()
+    for v in sk.vertices:
+        out.update(bfs_paths_with_range(sk, v.id, bound))
+    return pth.sort_paths(out)
 
 
 # Groupoid labels: convolution and involution by label arithmetic, the

@@ -14,6 +14,7 @@ The hypothesis runs are derandomized and keep no example database.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -266,6 +267,18 @@ def test_generation_makes_one_convolution_per_path_of_positive_length(monkeypatc
         assert kg.generation_check(G).passed
         assert len(calls) == sum(el.degree.total >= 1 for el in G.space.elements)
     assert len(calls) == 12  # on the boundary: the paths ending at v12, v12 itself aside
+
+
+def test_generation_keeps_the_generators_of_two_lengths_only():
+    """On line n=20 (|G| 3,311) the certificate's peak stays near two lengths of s_x."""
+    G = kg.build_path_groupoid(kg.enumerate_path_space(kg.load_skeleton(line_document(20))))
+    tracemalloc.start()
+    try:
+        assert kg.generation_check(G).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 # --- verify_etale's failing cylinders, ordered by their paths ---------------

@@ -23,9 +23,22 @@ def paths_up_to(sk, bound):
 # --- enumeration against the word-level oracle ---------------------------
 
 
+@pytest.fixture(scope="module")
+def instance_grid_2x2() -> kg.Skeleton:
+    return kg.grid_skeleton(2, Degree((2, 2))).skeleton
+
+
+@pytest.fixture(scope="module")
+def instance_grid_1x1x1() -> kg.Skeleton:
+    return kg.grid_skeleton(3, Degree((1, 1, 1))).skeleton
+
+
 @pytest.mark.parametrize(
     "name,bound",
-    [("a", (2, 2)), ("b", (3,)), ("c", (1, 1, 1)), ("e", (3,))],
+    [
+        ("a", (2, 2)), ("b", (3,)), ("c", (1, 1, 1)), ("e", (3,)),
+        ("grid_2x2", (2, 2)), ("grid_1x1x1", (1, 1, 1)),
+    ],
 )
 def test_all_paths_matches_word_classes(name, bound, request):
     sk = request.getfixturevalue(f"instance_{name}")
