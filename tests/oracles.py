@@ -26,6 +26,10 @@ representation's tables from labels per unit, and build the groupoid and its
 cylinders by factorizing and composing paths afresh instead of reading the
 path space's factorization table.
 
+The sampled-suite oracles at the very end draw and check one sample at a
+time through the one-element operations, instead of stacking each chunk of
+samples into rows.
+
 The boundary oracles search every subset of a vertex's paths against the
 pairwise compatibility of `minimal_extension_pairs`, and split paths with
 `vertex_at` / `segment`, instead of reading maximal paths, sources and the
@@ -40,7 +44,33 @@ from itertools import combinations
 import numpy as np
 
 from kgraphs import paths as pth
-from kgraphs.algebra import AlgebraElement
+from kgraphs.algebra import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    AlgebraElement,
+    RegularRepresentation,
+    RelationReport,
+    VertexFunction,
+    _modulus,
+    _report,
+    _require_rank_one,
+    convolve,
+    cuntz_krieger_sides,
+    edge_operator,
+    gauge_automorphism,
+    homogeneous_component,
+    i_norm,
+    index_arrays,
+    inner_product,
+    involution,
+    left_action,
+    quotient_restrict,
+    random_algebra_element,
+    random_edge_function,
+    random_vertex_function,
+    support_levels,
+    vertex_operator,
+)
 from kgraphs.boundary import (
     BoundaryCertificate,
     BoundaryEntry,
@@ -795,3 +825,198 @@ def subset_search_boundary_report(space: FinitePathSpace) -> dict:
         "elements": members,
         "boundary_size": sum(1 for m in members if m["boundary"]),
     }
+
+
+# The sampled suites one sample at a time, as `kgraphs.algebra` ran them before
+# it stacked samples into rows: the references for the stacked suites, whose
+# reports must equal these, floats included.
+
+
+def verify_algebra_identities(
+    G: FiniteGroupoid,
+    samples: int = 100,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> list[RelationReport]:
+    """Convolution associativity, involution, I-norm, regular representation."""
+    rng = np.random.default_rng(seed)
+    rep = RegularRepresentation(G)
+    tables = list({id(t): t for t in rep.entries.values()}.values())  # one per source block if full
+    dev_assoc = dev_dist = dev_inv = dev_norm = dev_rep = dev_adj = 0.0
+    if len(G) <= 50:
+        # (delta_a delta_b) delta_c and delta_a (delta_b delta_c) are deltas or 0, so they
+        # differ by 1.0 or not at all.  Row a of the product table (index n for 0) gives every
+        # (ab)c and a(bc); rows compare as lists: numpy's int compare pages in 128 KB more.
+        n = len(G)
+        arrays = index_arrays(G)
+        if arrays.missing:
+            G.product(*arrays.missing[0])  # raises KeyError: a composite is missing
+        product = np.full((n + 1, n + 1), n, dtype=np.intp)
+        a, b, ab = arrays.pairs
+        product[a, b] = ab
+        for row in product[:n]:
+            if product[row].tolist() != row[product].tolist():
+                dev_assoc = 1.0
+    for _ in range(samples):
+        f = random_algebra_element(rng, G)
+        g = random_algebra_element(rng, G)
+        h = random_algebra_element(rng, G)
+        fg, fh, gh = convolve(f, g), convolve(f, h), convolve(g, h)
+        dev_assoc = max(dev_assoc, (convolve(fg, h) - convolve(f, gh)).max_abs())
+        dev_dist = max(
+            dev_dist,
+            (convolve(f, g + h) - (fg + fh)).max_abs(),
+            (convolve(f + g, h) - (fh + gh)).max_abs(),
+        )
+        dev_inv = max(
+            dev_inv,
+            (involution(fg) - convolve(involution(g), involution(f))).max_abs(),
+        )
+        dev_norm = max(dev_norm, i_norm(fg) - i_norm(f) * i_norm(g))
+        f_star = involution(f)
+        for t in tables:
+            mf = f.values[t]
+            dev_rep = max(dev_rep, float(np.max(np.abs(fg.values[t] - mf @ g.values[t]))))
+            dev_adj = max(dev_adj, float(np.max(np.abs(f_star.values[t] - mf.conj().T))))
+    return [
+        _report("convolution_associativity", samples, seed, dev_assoc, tol),
+        _report("convolution_distributive", samples, seed, dev_dist, tol),
+        _report("involution_antimultiplicative", samples, seed, dev_inv, tol),
+        _report("i_norm_submultiplicative", samples, seed, max(dev_norm, 0.0), tol),
+        _report("regular_representation_multiplicative", samples, seed, dev_rep, tol),
+        _report("regular_representation_adjoint", samples, seed, dev_adj, tol),
+    ]
+
+
+def verify_toeplitz_identities(
+    G: FiniteGroupoid,
+    samples: int = 100,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> list[RelationReport]:
+    """S(xi)* S(eta) = P(<xi, eta>) and P(f) S(xi) = S(f . xi), sampled."""
+    sk = _require_rank_one(G)
+    rng = np.random.default_rng(seed)
+    vertex_ids = [v.id for v in sk.vertices]
+    edge_ids = [e.id for e in sk.edges]
+    dev_i = dev_ii = 0.0
+    for _ in range(samples):
+        f = random_vertex_function(rng, vertex_ids)
+        xi = random_edge_function(rng, edge_ids)
+        eta = random_edge_function(rng, edge_ids)
+        lhs_i = convolve(involution(edge_operator(G, xi)), edge_operator(G, eta))
+        rhs_i = vertex_operator(G, inner_product(sk, xi, eta))
+        dev_i = max(dev_i, (lhs_i - rhs_i).max_abs())
+        lhs_ii = convolve(vertex_operator(G, f), edge_operator(G, xi))
+        rhs_ii = edge_operator(G, left_action(sk, f, xi))
+        dev_ii = max(dev_ii, (lhs_ii - rhs_ii).max_abs())
+    return [
+        _report("toeplitz_inner_product", samples, seed, dev_i, tol),
+        _report("toeplitz_left_action", samples, seed, dev_ii, tol),
+    ]
+
+
+def verify_cuntz_krieger(
+    boundary_G: FiniteGroupoid,
+    samples: int = 100,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> RelationReport:
+    """P(f) equals the lift of left multiplication by f on the boundary groupoid.
+
+    Also checks the degree-zero edge case: every degree-0 boundary path is a
+    source vertex, so both sides vanish on those units.
+    """
+    sk = _require_rank_one(boundary_G)
+    classes = classify_vertices(sk)
+    regular = list(classes.regular)
+    rng = np.random.default_rng(seed)
+    deviation = 0.0
+    notes = ""
+    degree_zero = []
+    for path_idx, elem_idx in boundary_G.unit_index.items():
+        el = boundary_G.space.elements[path_idx]
+        if el.path.degree.total == 0:
+            degree_zero.append(elem_idx)
+            if el.path.range not in classes.sources:
+                notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
+    for _ in range(samples):
+        f = random_vertex_function(rng, regular) if regular else VertexFunction({})
+        lhs, rhs = cuntz_krieger_sides(boundary_G, f)
+        at_zero = _modulus(np.concatenate([lhs.values[degree_zero], rhs.values[degree_zero]]))
+        deviation = max(deviation, (lhs - rhs).max_abs(), float(at_zero.max(initial=0.0)))
+    passed = deviation <= tol and not notes
+    return RelationReport("cuntz_krieger", samples, seed, deviation, tol, passed, notes)
+
+
+def verify_gauge_action(
+    G: FiniteGroupoid,
+    samples: int = 100,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> list[RelationReport]:
+    """Gauge scaling is an automorphism, respects the grading, and fixes units."""
+    sk = G.space.skeleton
+    rng = np.random.default_rng(seed)
+    dev_auto = dev_grade = dev_gen = 0.0
+    for _ in range(samples):
+        f = random_algebra_element(rng, G)
+        g = random_algebra_element(rng, G)
+        ts = tuple(
+            complex(np.exp(2j * np.pi * rng.random())) for _ in range(sk.rank)
+        )
+        lhs = gauge_automorphism(convolve(f, g), ts)
+        rhs = convolve(gauge_automorphism(f, ts), gauge_automorphism(g, ts))
+        dev_auto = max(dev_auto, (lhs - rhs).max_abs())
+        levels_f = support_levels(f)
+        levels_g = support_levels(g)
+        if levels_f and levels_g:
+            mf = sorted(levels_f)[rng.integers(len(levels_f))]
+            mg = sorted(levels_g)[rng.integers(len(levels_g))]
+            prod = convolve(homogeneous_component(f, mf), homogeneous_component(g, mg))
+            expected = tuple(a + b for a, b in zip(mf, mg))
+            dev_grade = max(dev_grade, (prod - homogeneous_component(prod, expected)).max_abs())
+    reports = [
+        _report("gauge_automorphism", samples, seed, dev_auto, tol),
+        _report("gauge_grading", samples, seed, dev_grade, tol),
+    ]
+    if sk.rank == 1:
+        for _ in range(samples):
+            t = complex(np.exp(2j * np.pi * rng.random()))
+            f = random_vertex_function(rng, [v.id for v in sk.vertices])
+            xi = random_edge_function(rng, [e.id for e in sk.edges])
+            pf = vertex_operator(G, f)
+            sxi = edge_operator(G, xi)
+            dev_gen = max(
+                dev_gen,
+                (gauge_automorphism(pf, t) - pf).max_abs(),
+                (gauge_automorphism(sxi, t) - sxi.scale(t)).max_abs(),
+            )
+        reports.append(
+            _report("gauge_scales_generators", samples, seed, dev_gen, 0.0)
+        )
+    return reports
+
+
+def verify_quotient(
+    G: FiniteGroupoid,
+    boundary_G: FiniteGroupoid,
+    samples: int = 100,
+    seed: int = DEFAULT_SEED,
+) -> RelationReport:
+    """Restriction to the boundary groupoid is multiplicative, exactly.
+
+    Boundary invariance makes the surviving convolution terms identical on
+    both sides, and convolution sums them in the composition table's
+    ascending (a, b) order on both, so the float sums are identical too and
+    the tolerance here is zero.
+    """
+    rng = np.random.default_rng(seed)
+    deviation = 0.0
+    for _ in range(samples):
+        f = random_algebra_element(rng, G)
+        g = random_algebra_element(rng, G)
+        lhs = quotient_restrict(convolve(f, g), boundary_G)
+        rhs = convolve(quotient_restrict(f, boundary_G), quotient_restrict(g, boundary_G))
+        deviation = max(deviation, (lhs - rhs).max_abs())
+    return _report("quotient_multiplicative", samples, seed, deviation, 0.0)
