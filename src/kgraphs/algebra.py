@@ -9,20 +9,22 @@ boundary groupoid, and that the generators span the whole algebra.
 
 Each element is one complex vector indexed like the groupoid's elements;
 operations and generators gather and scatter through `index_arrays(G)`, one
-per groupoid.  Convolution sums the composable pairs with `np.bincount` in
-ascending (a, b) order, so restricting a product to the boundary groupoid
-reproduces the product of the restrictions bit for bit.  Products use the
-split formula re = ar*br - ai*bi, im = ar*bi + ai*br and moduli `np.hypot`,
-which round as Python's complex product and abs(complex) do (numpy's multiply
-and `np.abs` differ in the last bits), so every deviation equals a coefficient
-loop's; the regular-representation checks keep numpy's matmul and `np.abs`.
+per groupoid, which also holds the rank-1 columns of each edge's range and
+source.  Convolution sums the composable pairs with `np.bincount` in ascending
+(a, b) order, so restricting a product to the boundary groupoid reproduces the
+product of the restrictions bit for bit.  Products use the split formula
+re = ar*br - ai*bi, im = ar*bi + ai*br and moduli `np.hypot`, which round as
+Python's complex product and abs(complex) do (numpy's multiply and `np.abs`
+differ in the last bits), so every deviation equals a coefficient loop's; the
+regular-representation checks keep numpy's matmul and `np.abs`.
 
 The sampled suites (`verify_*`) evaluate each identity once per chunk of
 samples stacked as rows, drawn in the order one sample at a time draws them
 (normals in bulk, draws mixed with `random` or `integers` per sample).  One
 `np.bincount` over the bins ab + |G| row convolves each row as one element,
 so every report equals the per-sample loop's (tests/oracles.py).  `_CHUNK`
-caps a chunk's terms, rows x composable pairs, whatever `samples` is.
+caps a chunk's terms, rows x composable pairs, whatever `samples` is.  The
+Cuntz-Krieger suite lifts one `rank_one_decomposition` per call.
 
 `generation_check` certifies generation without a span closure: on a full
 groupoid (`FiniteGroupoid.is_full`) the path operators s_x are cylinders, so
@@ -69,6 +71,7 @@ class IndexArrays:
     element and its range's column in `sk.vertices`.  At rank 1, per path x of
     positive length, `arrows` and `arrow_edge`: (x, 1, tail of x) and the column
     of x's first edge in `sk.edges`; `lacking` lists (label, column) of those G lacks.
+    Per edge of `sk.edges`, `edge_range` and `edge_source`: the columns of its ends.
     """
 
     def __init__(self, G: FiniteGroupoid):
@@ -93,6 +96,8 @@ class IndexArrays:
         self.units, self.unit_vertex = np.array(units, dtype=np.intp).reshape(-1, 2).T
         self.arrows, self.arrow_edge = np.array(kept, dtype=np.intp).reshape(-1, 2).T
         self.lacking = [(label, e) for label, e in arrows if label not in G]
+        ends = [(vertex[e.range], vertex[e.source]) for e in sk.edges]
+        self.edge_range, self.edge_source = np.array(ends, dtype=np.intp).reshape(-1, 2).T
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -510,23 +515,19 @@ def verify_toeplitz_identities(
     """S(xi)* S(eta) = P(<xi, eta>) and P(f) S(xi) = S(f . xi), sampled."""
     sk = _require_rank_one(G)
     rng = np.random.default_rng(seed)
-    nv, ne = len(sk.vertices), len(sk.edges)
-    vertex = {v.id: j for j, v in enumerate(sk.vertices)}
-    into = [vertex[e.range] for e in sk.edges]
-    by_source = [[sk.edges.index(e) for e in sk.edges_by_source[v.id]] for v in sk.vertices]
+    nv, ne, arrays = len(sk.vertices), len(sk.edges), index_arrays(G)
     dev_i = dev_ii = 0.0
     for rows in _chunks(G, samples):
         draw = _normal_rows(rng, (rows, nv + 2 * ne))
         f, xi, eta = draw[:, :nv], draw[:, nv : nv + ne], draw[:, nv + ne :]
         s_xi = _edge_rows(G, xi)
-        lhs_i = _convolve_rows(G, np.conj(s_xi[:, index_arrays(G).inverse]), _edge_rows(G, eta))
+        lhs_i = _convolve_rows(G, np.conj(s_xi[:, arrays.inverse]), _edge_rows(G, eta))
         products, inner = _multiply(np.conj(xi), eta), np.zeros((rows, nv), complex)
-        for v, edges in enumerate(by_source):  # as `inner_product` sums, from 0 in this order
-            for e in edges:
-                inner[:, v] += products[:, e]
+        for e, v in enumerate(arrays.edge_source):  # each vertex's edges ascending, as `inner_product`
+            inner[:, v] += products[:, e]
         dev_i = max(dev_i, _max_abs(lhs_i - _vertex_rows(G, inner)))
         lhs_ii = _convolve_rows(G, _vertex_rows(G, f), s_xi)
-        dev_ii = max(dev_ii, _max_abs(lhs_ii - _edge_rows(G, _multiply(f[:, into], xi))))
+        dev_ii = max(dev_ii, _max_abs(lhs_ii - _edge_rows(G, _multiply(f[:, arrays.edge_range], xi))))
     deviations = {"toeplitz_inner_product": dev_i, "toeplitz_left_action": dev_ii}
     return [_report(name, samples, seed, dev, tol) for name, dev in deviations.items()]
 
@@ -558,12 +559,12 @@ def verify_cuntz_krieger(
     """P(f) equals the lift of left multiplication by f on the boundary groupoid.
 
     Also checks the degree-zero edge case: every degree-0 boundary path is a
-    source vertex, so both sides vanish on those units.  The lift sums the pairs
-    of `rank_one_decomposition` (checked per sample), S(f(r(e)) delta_e) S(delta_e)*.
+    source vertex, so both sides vanish on those units.  The lift sums f(r(e)) S(delta_e) S(delta_e)*
+    over the frame (delta_e, delta_e) of one `rank_one_decomposition` per call, checked once.
     """
     sk = _require_rank_one(boundary_G)
-    classes = classify_vertices(sk)
-    regular = list(classes.regular)
+    classes, arrays = classify_vertices(sk), index_arrays(boundary_G)
+    regular = sorted(set(arrays.edge_range.tolist()))  # columns of classes.regular: the edges' ranges
     rng = np.random.default_rng(seed)
     deviation, notes, degree_zero = 0.0, "", []
     for path_idx, elem_idx in boundary_G.unit_index.items():
@@ -572,20 +573,14 @@ def verify_cuntz_krieger(
             degree_zero.append(elem_idx)
             if el.path.range not in classes.sources:
                 notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
-    vertex = {v.id: j for j, v in enumerate(sk.vertices)}
-    into = [(j, vertex[e.range]) for j, e in enumerate(sk.edges) if e.range in regular]
+    frame = rank_one_decomposition(sk, VertexFunction.indicator(classes.regular))
     for rows in _chunks(boundary_G, samples):
-        f = np.zeros((rows, len(vertex)), complex)
-        f[:, [vertex[v] for v in regular]] = _normal_rows(rng, (rows, len(regular)))
-        for row in f:
-            rank_one_decomposition(sk, VertexFunction(dict(zip(vertex, row))))
+        f = _scatter(len(sk.vertices), regular, _normal_rows(rng, (rows, len(regular))))
         lhs, rhs = _vertex_rows(boundary_G, f), np.zeros((rows, len(boundary_G)), complex)
-        for e, v in into:
-            xi = np.zeros((rows + 1, len(sk.edges)), complex)
-            xi[:rows, e], xi[rows, e] = f[:, v], 1.0  # the last row is delta_e
-            s = _edge_rows(boundary_G, xi)
-            s_star = np.conj(s[rows:, index_arrays(boundary_G).inverse])
-            rhs = rhs + _convolve_rows(boundary_G, s[:rows], s_star)
+        for (_, eta), into in zip(frame, arrays.edge_range):  # the frame lists every edge, in order
+            s = _edge_rows(boundary_G, np.array([[eta(e.id) for e in sk.edges]]))
+            s_f = _multiply(f[:, into, None], s)  # S(f . delta_e) = f(r(e)) S(delta_e)
+            rhs = rhs + _convolve_rows(boundary_G, s_f, np.conj(s[:, arrays.inverse]))
         at_zero = _max_abs(lhs[:, degree_zero]), _max_abs(rhs[:, degree_zero])
         deviation = max(deviation, _max_abs(lhs - rhs), *at_zero)
     passed = deviation <= tol and not notes

@@ -146,9 +146,9 @@ def rank_one_decomposition(
     """Write left multiplication by f as a sum of rank-one operators.
 
     One pair per edge in the support of f o r: (f(r(e)) delta_e, delta_e).
-    The construction is checked before returning: f o r is the pointwise sum
-    of the products xi_i conj(eta_i), distinct same-source edges never mix,
-    and the operator sum reproduces left multiplication exactly.
+    Checked before returning, in one pass over the pairs: f o r is the
+    pointwise sum of the products xi_i conj(eta_i), distinct same-source edges
+    never mix, and the operator sum reproduces left multiplication exactly.
     """
     if not f.support() <= set(classify_vertices(sk).regular):
         warnings.warn(
@@ -161,19 +161,19 @@ def rank_one_decomposition(
         c = f(e.range)
         if c != 0:
             pairs.append((EdgeFunction({e.id: c}), EdgeFunction.delta(e.id)))
-
-    for e in sk.edges:
-        total = sum(xi(e.id) * eta(e.id).conjugate() for xi, eta in pairs)
-        if total != f(e.range):
-            raise AssertionError("pointwise product identity failed")
+    totals, matrix = {}, {}  # xi conj(eta) at each edge and the operator sum, in pair order
+    for xi, eta in pairs:
+        for e, c in xi.values.items():
+            totals[e] = totals.get(e, 0) + c * eta(e).conjugate()
+        for key, c in rank_one_operator(sk, xi, eta).matrix.items():
+            matrix[key] = matrix.get(key, 0j) + c
+    if any(totals.get(e.id, 0) != f(e.range) for e in sk.edges):
+        raise AssertionError("pointwise product identity failed")
     for xi, eta in pairs:  # the support pairs of each (xi, eta) only
         for e, e2 in ((e, e2) for e in xi.values for e2 in eta.values if e != e2):
             if sk.edge_by_id[e].source == sk.edge_by_id[e2].source:
                 if xi(e) * eta(e2).conjugate() != 0:
                     raise AssertionError("cross-term orthogonality failed")
-    total_op = BimoduleOperator({})
-    for xi, eta in pairs:
-        total_op = total_op + rank_one_operator(sk, xi, eta)
-    if (total_op - left_mult_operator(sk, f)).max_abs() != 0.0:
+    if {key: c for key, c in matrix.items() if c != 0} != left_mult_operator(sk, f).matrix:
         raise AssertionError("operator sum does not reproduce left multiplication")
     return pairs

@@ -32,6 +32,7 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
+from functools import cache
 
 from . import algebra as alg
 from . import boundary as bnd
@@ -320,6 +321,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgraphs",

@@ -66,8 +66,10 @@ def edge_path(sk: Skeleton, edge_id: str) -> Path:
 
 
 def source(sk: Skeleton, p: Path) -> str:
-    word = p.word
-    return sk.edge_by_id[word[-1]].source if word else p.range
+    for block in reversed(p.blocks):
+        if block:
+            return sk.edge_by_id[block[-1]].source
+    return p.range
 
 
 def _check_word(sk: Skeleton, word: list[str] | tuple[str, ...]) -> None:

@@ -363,3 +363,7 @@ def test_a_directory_path_is_a_one_line_usage_error(tmp_path, capsys, where):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()

@@ -9,7 +9,8 @@ import kgraphs as kg
 from kgraphs.skeleton import Degree, degree_box
 
 import oracles as orc
-from conftest import line_document
+from conftest import line_document, load_instance
+from test_boundary_search import tree
 
 
 def box(*coords):
@@ -402,3 +403,21 @@ def test_paths_at_the_end_of_a_long_line_build_no_reachable_sets():
         tracemalloc.stop()
     assert paths == (kg.vertex_path(sk, "v1999"),)
     assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("e", lambda: (load_instance("e"), None)),
+        ("tree", lambda: (tree(random.Random(2), 8), None)),
+        ("grid-2x2", lambda: (kg.grid_skeleton(2, Degree((2, 2))).skeleton, None)),
+        ("a-2x2", lambda: (load_instance("a"), Degree((2, 2)))),
+        ("c-1x1x1", lambda: (load_instance("c"), Degree((1, 1, 1)))),
+    ],
+)
+def test_source_reads_the_last_letter_of_the_word(name, make):
+    sk, bound = make()
+    paths = [el.path for el in kg.enumerate_path_space(sk, bound).elements]
+    assert any(p.is_vertex for p in paths) and any(not p.is_vertex for p in paths)
+    for p in paths:
+        assert kg.source(sk, p) == orc.word_source(sk, p.word, p.range)

@@ -6,7 +6,7 @@ included, those of the per-sample suites kept in `oracles.py`, at any sample
 count, any seed and any chunk size: `_CHUNK` = 1 runs one sample per chunk,
 2**20 runs every sample in one chunk.  A suite's traced memory peak must not
 grow with the sample count, and `rank_one_decomposition`, which the
-Cuntz-Krieger suite runs on every sample, must still catch a cross term.
+Cuntz-Krieger suite runs once per call, must still catch a cross term.
 
 The runs are derandomized and keep no example database, so tier-1 sees the
 same examples every time.
