@@ -24,7 +24,8 @@ samples stacked as rows, drawn in the order one sample at a time draws them
 `np.bincount` over the bins ab + |G| row convolves each row as one element,
 so every report equals the per-sample loop's (tests/oracles.py).  `_CHUNK`
 caps a chunk's terms, rows x composable pairs, whatever `samples` is.  The
-Cuntz-Krieger suite lifts one `rank_one_decomposition` per call.
+Cuntz-Krieger suite lifts one `rank_one_decomposition` per call and forms its
+edge projections S(delta_e) S(delta_e)* once per call.
 
 `generation_check` certifies generation without a span closure: on a full
 groupoid (`FiniteGroupoid.is_full`) the path operators s_x are cylinders, so
@@ -40,17 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .skeleton import Skeleton
-from .bimodule import (  # the bimodule names are kgraphs.algebra's too, as before
-    BimoduleOperator,
-    EdgeFunction,
-    VertexFunction,
-    inner_product,
-    left_action,
-    left_mult_operator,
-    rank_one_decomposition,
-    rank_one_operator,
-    right_action,
-)
+from .bimodule import EdgeFunction, VertexFunction, rank_one_decomposition
 from .boundary import classify_vertices
 from .groupoid import FiniteGroupoid
 from .paths import source
@@ -249,11 +240,6 @@ def _i_norms(arrays, F):
     return np.concatenate(sums, axis=1).max(axis=1, initial=0.0)
 
 
-def i_norm(f: AlgebraElement) -> float:
-    """Max over units of the larger fiberwise l1 sum (range or source fiber)."""
-    return float(_i_norms(index_arrays(f.groupoid), f.values[None])[0])
-
-
 def _max_abs(values):
     return float(np.max(_modulus(values), initial=0.0))
 
@@ -277,14 +263,6 @@ def edge_operator(G: FiniteGroupoid, xi: EdgeFunction) -> AlgebraElement:
     return AlgebraElement(G, _edge_rows(G, np.array([[xi(e.id) for e in sk.edges]], complex))[0])
 
 
-def rank_one_lift(G: FiniteGroupoid, pairs) -> AlgebraElement:
-    """Lift a sum of rank-one operators: sum of S(xi) S(eta)*."""
-    out = AlgebraElement.zero(G)
-    for xi, eta in pairs:
-        out = out + convolve(edge_operator(G, xi), involution(edge_operator(G, eta)))
-    return out
-
-
 def _restriction(G, boundary_G):
     """The elements of G whose endpoints are boundary paths, and their indices in boundary_G."""
     bspace = boundary_G.space
@@ -292,12 +270,6 @@ def _restriction(G, boundary_G):
     labels = [(at[g.x], g.m, at[g.y]) for g in G.elements]
     kept = [(i, boundary_G.index_of(x)) for i, x in enumerate(labels) if None not in x]
     return np.array(kept, dtype=np.intp).reshape(-1, 2).T
-
-
-def quotient_restrict(f: AlgebraElement, boundary_G: FiniteGroupoid) -> AlgebraElement:
-    """Restrict coefficients to elements whose endpoints are boundary paths."""
-    kept, at = _restriction(f.groupoid, boundary_G)
-    return AlgebraElement(boundary_G, _scatter(len(boundary_G), at, f.values[None, kept])[0])
 
 
 def _gauge_scales(levels, t, k):
@@ -317,24 +289,6 @@ def _gauge_scales(levels, t, k):
             scale *= base.conjugate() ** (-power) if power < 0 else base**power
         scales[j] = scale
     return scales
-
-
-def gauge_automorphism(f: AlgebraElement, t) -> AlgebraElement:
-    """Scale the coefficient at (x, m, y) by the monomial t^m; |t_c| must be 1."""
-    arrays = index_arrays(f.groupoid)
-    scales = _gauge_scales(arrays.levels, t, f.groupoid.rank)
-    return AlgebraElement(f.groupoid, _multiply(scales[arrays.level], f.values))
-
-
-def homogeneous_component(f: AlgebraElement, level: tuple[int, ...]) -> AlgebraElement:
-    arrays = index_arrays(f.groupoid)
-    at_level = np.array([m == tuple(level) for m in arrays.levels], dtype=bool)
-    return AlgebraElement(f.groupoid, np.where(at_level[arrays.level], f.values, 0))
-
-
-def support_levels(f: AlgebraElement) -> set[tuple[int, ...]]:
-    arrays = index_arrays(f.groupoid)
-    return {arrays.levels[j] for j in arrays.level[f.values != 0].tolist()}
 
 
 class RegularRepresentation:
@@ -432,26 +386,9 @@ def _report(identity, samples, seed, deviation, tol, notes="") -> RelationReport
     return RelationReport(identity, samples, seed, deviation, tol, deviation <= tol, notes)
 
 
-def random_vertex_function(rng: np.random.Generator, vertex_ids) -> VertexFunction:
-    return VertexFunction(
-        {v: complex(rng.standard_normal(), rng.standard_normal()) for v in vertex_ids}
-    )
-
-
-def random_edge_function(rng: np.random.Generator, edge_ids) -> EdgeFunction:
-    return EdgeFunction(
-        {e: complex(rng.standard_normal(), rng.standard_normal()) for e in edge_ids}
-    )
-
-
 def _normal_rows(rng, shape):
     """Entries complex(re, im) from the next two standard normals each, in C order."""
     return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
-
-
-def random_algebra_element(rng: np.random.Generator, G: FiniteGroupoid) -> AlgebraElement:
-    """Entry i is complex(re, im) from the next two standard normals, in index order."""
-    return AlgebraElement(G, _normal_rows(rng, (len(G),)))
 
 
 def _chunks(G, samples):
@@ -532,24 +469,6 @@ def verify_toeplitz_identities(
     return [_report(name, samples, seed, dev, tol) for name, dev in deviations.items()]
 
 
-def cuntz_krieger_sides(
-    G: FiniteGroupoid, f: VertexFunction
-) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the Cuntz-Krieger identity for one vertex function.
-
-    Rejects functions supported outside the regular vertices: the identity
-    is only imposed there.
-    """
-    sk = _require_rank_one(G)
-    regular = set(classify_vertices(sk).regular)
-    if not f.support() <= regular:
-        raise ValueError(
-            f"vertex function supported off the regular vertices: "
-            f"{sorted(f.support() - regular)}"
-        )
-    return vertex_operator(G, f), rank_one_lift(G, rank_one_decomposition(sk, f))
-
-
 def verify_cuntz_krieger(
     boundary_G: FiniteGroupoid,
     samples: int = 100,
@@ -559,8 +478,10 @@ def verify_cuntz_krieger(
     """P(f) equals the lift of left multiplication by f on the boundary groupoid.
 
     Also checks the degree-zero edge case: every degree-0 boundary path is a
-    source vertex, so both sides vanish on those units.  The lift sums f(r(e)) S(delta_e) S(delta_e)*
-    over the frame (delta_e, delta_e) of one `rank_one_decomposition` per call, checked once.
+    source vertex, so both sides vanish on those units.  The lift sums f(r(e)) P_e over
+    the frame (delta_e, delta_e) of one `rank_one_decomposition` per call, checked once:
+    each projection P_e = S(delta_e) S(delta_e)* is formed once per call, in edge order,
+    and only when there is a sample.
     """
     sk = _require_rank_one(boundary_G)
     classes, arrays = classify_vertices(sk), index_arrays(boundary_G)
@@ -574,13 +495,15 @@ def verify_cuntz_krieger(
             if el.path.range not in classes.sources:
                 notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
     frame = rank_one_decomposition(sk, VertexFunction.indicator(classes.regular))
+    projections = []  # the frame lists every edge, in order
+    for _, eta in frame if samples > 0 else ():
+        s = _edge_rows(boundary_G, np.array([[eta(e.id) for e in sk.edges]]))
+        projections.append(_convolve_rows(boundary_G, s, np.conj(s[:, arrays.inverse])))
     for rows in _chunks(boundary_G, samples):
         f = _scatter(len(sk.vertices), regular, _normal_rows(rng, (rows, len(regular))))
         lhs, rhs = _vertex_rows(boundary_G, f), np.zeros((rows, len(boundary_G)), complex)
-        for (_, eta), into in zip(frame, arrays.edge_range):  # the frame lists every edge, in order
-            s = _edge_rows(boundary_G, np.array([[eta(e.id) for e in sk.edges]]))
-            s_f = _multiply(f[:, into, None], s)  # S(f . delta_e) = f(r(e)) S(delta_e)
-            rhs = rhs + _convolve_rows(boundary_G, s_f, np.conj(s[:, arrays.inverse]))
+        for p, into in zip(projections, arrays.edge_range):
+            rhs = rhs + _multiply(f[:, into, None], p)  # S(f . delta_e) S(delta_e)* = f(r(e)) P_e
         at_zero = _max_abs(lhs[:, degree_zero]), _max_abs(rhs[:, degree_zero])
         deviation = max(deviation, _max_abs(lhs - rhs), *at_zero)
     passed = deviation <= tol and not notes

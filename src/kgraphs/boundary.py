@@ -264,16 +264,6 @@ def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePat
     return FinitePathSpace(sk, "truncated", [_truncated_element(sk, p) for p in pool])
 
 
-def shift(sk: Skeleton, x: PathSpaceElement, m: Degree) -> PathSpaceElement:
-    """Drop the degree-m prefix: the tail element after m."""
-    if not m <= x.path.degree:
-        raise ValueError(f"cannot shift by {m} past recorded degree {x.path.degree}")
-    _, tail = pth.factorize(sk, x.path, m)
-    if x.truncated:
-        return PathSpaceElement(tail, True, x.extendable, x.unbounded)
-    return PathSpaceElement(tail)
-
-
 def prepend(sk: Skeleton, lam: Path, x: PathSpaceElement) -> PathSpaceElement:
     """Extend the element by a path on the range side; s(lam) must be r(x)."""
     combined = pth.compose(sk, lam, x.path)

@@ -180,21 +180,6 @@ def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     return build_path_groupoid(restricted)
 
 
-def invert_element(G: FiniteGroupoid, g: GroupoidElement) -> GroupoidElement:
-    return G.elements[G.inverse[G.index_of(g.label())]]
-
-
-def compose_elements(
-    G: FiniteGroupoid, g1: GroupoidElement, g2: GroupoidElement
-) -> GroupoidElement:
-    """The composite (x, m+n, z) of (x, m, y) and (y, n, z)."""
-    return G.elements[G.product(G.index_of(g1.label()), G.index_of(g2.label()))]
-
-
-def cocycle(g: GroupoidElement) -> tuple[int, ...]:
-    return g.m
-
-
 def orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
     """Partition of the unit space under the range/source relation."""
     parent = {u: u for u in range(len(G.space.elements))}

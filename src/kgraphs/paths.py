@@ -140,21 +140,6 @@ def factorize(sk: Skeleton, p: Path, m: Degree) -> tuple[Path, Path]:
     return head, _from_sorted_word(sk, source(sk, head), word[cut:])
 
 
-def segment(sk: Skeleton, p: Path, lo: Degree, hi: Degree) -> Path:
-    """The middle factor p(lo, hi); requires 0 <= lo <= hi <= d(p)."""
-    if not (lo <= hi and hi <= p.degree):
-        raise ValueError(f"segment bounds must satisfy 0 <= {lo} <= {hi} <= {p.degree}")
-    head, _ = factorize(sk, p, hi)
-    _, mid = factorize(sk, head, lo)
-    return mid
-
-
-def vertex_at(sk: Skeleton, p: Path, m: Degree) -> str:
-    """The vertex p(m) = source of the degree-m prefix."""
-    head, _ = factorize(sk, p, m)
-    return source(sk, head)
-
-
 def _walk(sk: Skeleton, vertex_id: str, low: Degree | None = None, high: Degree | None = None):
     """Every path ranged at the vertex with low <= degree <= high, unsorted.
 
@@ -234,66 +219,6 @@ def minimal_extension_pairs(sk: Skeleton, a: Path, b: Path) -> tuple[MinimalExte
     ]
     pairs.sort(key=lambda p: (path_sort_key(p.alpha), path_sort_key(p.beta)))
     return tuple(pairs)
-
-
-def minimal_common_extensions(sk: Skeleton, U, V) -> tuple[Path, ...]:
-    """The set of minimal common extensions of two uniform-degree path sets."""
-    U, V = list(U), list(V)
-    for name, group in (("U", U), ("V", V)):
-        degs = {p.degree for p in group}
-        if len(degs) > 1:
-            raise ValueError(f"{name} mixes degrees {sorted(d.coords for d in degs)}")
-    out: set[Path] = set()
-    for a in U:
-        for b in V:
-            for pair in minimal_extension_pairs(sk, a, b):
-                out.add(compose(sk, a, pair.alpha))
-    return sort_paths(out)
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    bound: Degree
-    pairs_checked: int
-    max_size: int
-    witness: tuple[Path, Path] | None
-    rank_one_single_valued: bool | None
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "bound": list(self.bound.coords),
-            "pairs_checked": self.pairs_checked,
-            "max_size": self.max_size,
-            "witness": None
-            if self.witness is None
-            else [self.witness[0].to_json(), self.witness[1].to_json()],
-            "rank_one_single_valued": self.rank_one_single_valued,
-            "passed": self.passed,
-        }
-
-
-def alignment_report(sk: Skeleton, bound: Degree) -> AlignmentReport:
-    """Survey |minimal extension pair sets| over all path pairs up to a bound.
-
-    Finite skeletons are finitely aligned by construction, so the survey
-    always completes; for rank 1 it additionally asserts that every pair set
-    has at most one element.
-    """
-    pool = [p for n in degree_box(bound) for p in all_paths(sk, n)]
-    max_size, witness, pairs = 0, None, 0
-    single = True
-    for a in pool:
-        for b in pool:
-            pairs += 1
-            size = len(minimal_extension_pairs(sk, a, b))
-            if size > 1:
-                single = False
-            if size > max_size:
-                max_size, witness = size, (a, b)
-    rank_one = single if sk.rank == 1 else None
-    passed = rank_one is not False
-    return AlignmentReport(bound, pairs, max_size, witness, rank_one, passed)
 
 
 @dataclass(frozen=True)

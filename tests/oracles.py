@@ -34,11 +34,22 @@ The boundary oracles search every subset of a vertex's paths against the
 pairwise compatibility of `minimal_extension_pairs`, and split paths with
 `vertex_at` / `segment`, instead of reading maximal paths, sources and the
 factorization table.
+
+The per-element reference layer before the sampled suites moved here from
+`kgraphs` unchanged, once no command or check called it: `segment`,
+`vertex_at`, `minimal_common_extensions` and `alignment_report` (from
+`paths`), `shift` (from `boundary`), `compose_elements`, `invert_element` and
+`cocycle` (from `groupoid`), and the one-element operations and draws of
+`algebra` (`i_norm`, `quotient_restrict`, `gauge_automorphism`,
+`homogeneous_component`, `support_levels`, the `random_*` draws,
+`rank_one_lift`, `cuntz_krieger_sides`).  Each still calls the library
+primitive it restates, so the tests that read them still exercise `kgraphs`.
 """
 
 from __future__ import annotations
 
 import graphlib
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -50,26 +61,27 @@ from kgraphs.algebra import (
     AlgebraElement,
     RegularRepresentation,
     RelationReport,
-    VertexFunction,
+    _gauge_scales,
+    _i_norms,
     _modulus,
+    _multiply,
+    _normal_rows,
     _report,
     _require_rank_one,
+    _restriction,
+    _scatter,
     convolve,
-    cuntz_krieger_sides,
     edge_operator,
-    gauge_automorphism,
-    homogeneous_component,
-    i_norm,
     index_arrays,
-    inner_product,
     involution,
-    left_action,
-    quotient_restrict,
-    random_algebra_element,
-    random_edge_function,
-    random_vertex_function,
-    support_levels,
     vertex_operator,
+)
+from kgraphs.bimodule import (
+    EdgeFunction,
+    VertexFunction,
+    inner_product,
+    left_action,
+    rank_one_decomposition,
 )
 from kgraphs.boundary import (
     BoundaryCertificate,
@@ -80,7 +92,15 @@ from kgraphs.boundary import (
     classify_vertices,
     prepend,
 )
-from kgraphs.paths import Path
+from kgraphs.paths import (
+    Path,
+    all_paths,
+    compose,
+    factorize,
+    minimal_extension_pairs,
+    sort_paths,
+    source,
+)
 from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement, GroupoidReport
 from kgraphs.skeleton import (
     Degree,
@@ -788,13 +808,13 @@ def segment_is_boundary(space: FinitePathSpace, x, cache: dict):
     entries = []
     p = el.path
     for m in degree_box(p.degree):
-        v = pth.vertex_at(sk, p, m)
+        v = vertex_at(sk, p, m)
         if v not in cache:
             cache[v] = subset_search_minimal_exhaustive_sets(sk, v)
         for ex_set in cache[v]:
             witness = None
             for lam in ex_set.members:
-                if m + lam.degree <= p.degree and pth.segment(sk, p, m, m + lam.degree) == lam:
+                if m + lam.degree <= p.degree and segment(sk, p, m, m + lam.degree) == lam:
                     witness = lam
                     break
             entries.append(BoundaryEntry(m, v, ex_set.members, witness))
@@ -825,6 +845,184 @@ def subset_search_boundary_report(space: FinitePathSpace) -> dict:
         "elements": members,
         "boundary_size": sum(1 for m in members if m["boundary"]),
     }
+
+
+# The per-element reference layer: one path, element or function at a time,
+# through the library's primitives (`factorize`, `G.product`, `convolve`, ...),
+# where the commands read the factorization table, the composition table and
+# the stacked row kernels.
+
+
+def segment(sk: Skeleton, p: Path, lo: Degree, hi: Degree) -> Path:
+    """The middle factor p(lo, hi); requires 0 <= lo <= hi <= d(p)."""
+    if not (lo <= hi and hi <= p.degree):
+        raise ValueError(f"segment bounds must satisfy 0 <= {lo} <= {hi} <= {p.degree}")
+    head, _ = factorize(sk, p, hi)
+    _, mid = factorize(sk, head, lo)
+    return mid
+
+
+def vertex_at(sk: Skeleton, p: Path, m: Degree) -> str:
+    """The vertex p(m) = source of the degree-m prefix."""
+    head, _ = factorize(sk, p, m)
+    return source(sk, head)
+
+
+def minimal_common_extensions(sk: Skeleton, U, V) -> tuple[Path, ...]:
+    """The set of minimal common extensions of two uniform-degree path sets."""
+    U, V = list(U), list(V)
+    for name, group in (("U", U), ("V", V)):
+        degs = {p.degree for p in group}
+        if len(degs) > 1:
+            raise ValueError(f"{name} mixes degrees {sorted(d.coords for d in degs)}")
+    out: set[Path] = set()
+    for a in U:
+        for b in V:
+            for pair in minimal_extension_pairs(sk, a, b):
+                out.add(compose(sk, a, pair.alpha))
+    return sort_paths(out)
+
+
+@dataclass(frozen=True)
+class AlignmentReport:
+    bound: Degree
+    pairs_checked: int
+    max_size: int
+    witness: tuple[Path, Path] | None
+    rank_one_single_valued: bool | None
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "bound": list(self.bound.coords),
+            "pairs_checked": self.pairs_checked,
+            "max_size": self.max_size,
+            "witness": None
+            if self.witness is None
+            else [self.witness[0].to_json(), self.witness[1].to_json()],
+            "rank_one_single_valued": self.rank_one_single_valued,
+            "passed": self.passed,
+        }
+
+
+def alignment_report(sk: Skeleton, bound: Degree) -> AlignmentReport:
+    """Survey |minimal extension pair sets| over all path pairs up to a bound.
+
+    Finite skeletons are finitely aligned by construction, so the survey
+    always completes; for rank 1 it additionally asserts that every pair set
+    has at most one element.
+    """
+    pool = [p for n in degree_box(bound) for p in all_paths(sk, n)]
+    max_size, witness, pairs = 0, None, 0
+    single = True
+    for a in pool:
+        for b in pool:
+            pairs += 1
+            size = len(minimal_extension_pairs(sk, a, b))
+            if size > 1:
+                single = False
+            if size > max_size:
+                max_size, witness = size, (a, b)
+    rank_one = single if sk.rank == 1 else None
+    passed = rank_one is not False
+    return AlignmentReport(bound, pairs, max_size, witness, rank_one, passed)
+
+
+def shift(sk: Skeleton, x: PathSpaceElement, m: Degree) -> PathSpaceElement:
+    """Drop the degree-m prefix: the tail element after m."""
+    if not m <= x.path.degree:
+        raise ValueError(f"cannot shift by {m} past recorded degree {x.path.degree}")
+    _, tail = pth.factorize(sk, x.path, m)
+    if x.truncated:
+        return PathSpaceElement(tail, True, x.extendable, x.unbounded)
+    return PathSpaceElement(tail)
+
+
+def invert_element(G: FiniteGroupoid, g: GroupoidElement) -> GroupoidElement:
+    return G.elements[G.inverse[G.index_of(g.label())]]
+
+
+def compose_elements(
+    G: FiniteGroupoid, g1: GroupoidElement, g2: GroupoidElement
+) -> GroupoidElement:
+    """The composite (x, m+n, z) of (x, m, y) and (y, n, z)."""
+    return G.elements[G.product(G.index_of(g1.label()), G.index_of(g2.label()))]
+
+
+def cocycle(g: GroupoidElement) -> tuple[int, ...]:
+    return g.m
+
+
+def i_norm(f: AlgebraElement) -> float:
+    """Max over units of the larger fiberwise l1 sum (range or source fiber)."""
+    return float(_i_norms(index_arrays(f.groupoid), f.values[None])[0])
+
+
+def rank_one_lift(G: FiniteGroupoid, pairs) -> AlgebraElement:
+    """Lift a sum of rank-one operators: sum of S(xi) S(eta)*."""
+    out = AlgebraElement.zero(G)
+    for xi, eta in pairs:
+        out = out + convolve(edge_operator(G, xi), involution(edge_operator(G, eta)))
+    return out
+
+
+def quotient_restrict(f: AlgebraElement, boundary_G: FiniteGroupoid) -> AlgebraElement:
+    """Restrict coefficients to elements whose endpoints are boundary paths."""
+    kept, at = _restriction(f.groupoid, boundary_G)
+    return AlgebraElement(boundary_G, _scatter(len(boundary_G), at, f.values[None, kept])[0])
+
+
+def gauge_automorphism(f: AlgebraElement, t) -> AlgebraElement:
+    """Scale the coefficient at (x, m, y) by the monomial t^m; |t_c| must be 1."""
+    arrays = index_arrays(f.groupoid)
+    scales = _gauge_scales(arrays.levels, t, f.groupoid.rank)
+    return AlgebraElement(f.groupoid, _multiply(scales[arrays.level], f.values))
+
+
+def homogeneous_component(f: AlgebraElement, level: tuple[int, ...]) -> AlgebraElement:
+    arrays = index_arrays(f.groupoid)
+    at_level = np.array([m == tuple(level) for m in arrays.levels], dtype=bool)
+    return AlgebraElement(f.groupoid, np.where(at_level[arrays.level], f.values, 0))
+
+
+def support_levels(f: AlgebraElement) -> set[tuple[int, ...]]:
+    arrays = index_arrays(f.groupoid)
+    return {arrays.levels[j] for j in arrays.level[f.values != 0].tolist()}
+
+
+def random_vertex_function(rng: np.random.Generator, vertex_ids) -> VertexFunction:
+    return VertexFunction(
+        {v: complex(rng.standard_normal(), rng.standard_normal()) for v in vertex_ids}
+    )
+
+
+def random_edge_function(rng: np.random.Generator, edge_ids) -> EdgeFunction:
+    return EdgeFunction(
+        {e: complex(rng.standard_normal(), rng.standard_normal()) for e in edge_ids}
+    )
+
+
+def random_algebra_element(rng: np.random.Generator, G: FiniteGroupoid) -> AlgebraElement:
+    """Entry i is complex(re, im) from the next two standard normals, in index order."""
+    return AlgebraElement(G, _normal_rows(rng, (len(G),)))
+
+
+def cuntz_krieger_sides(
+    G: FiniteGroupoid, f: VertexFunction
+) -> tuple[AlgebraElement, AlgebraElement]:
+    """Both sides of the Cuntz-Krieger identity for one vertex function.
+
+    Rejects functions supported outside the regular vertices: the identity
+    is only imposed there.
+    """
+    sk = _require_rank_one(G)
+    regular = set(classify_vertices(sk).regular)
+    if not f.support() <= regular:
+        raise ValueError(
+            f"vertex function supported off the regular vertices: "
+            f"{sorted(f.support() - regular)}"
+        )
+    return vertex_operator(G, f), rank_one_lift(G, rank_one_decomposition(sk, f))
 
 
 # The sampled suites one sample at a time, as `kgraphs.algebra` ran them before

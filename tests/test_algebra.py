@@ -6,7 +6,10 @@ import pytest
 import kgraphs as kg
 from kgraphs import algebra as alg
 from kgraphs.algebra import AlgebraElement, EdgeFunction, VertexFunction
+from kgraphs.bimodule import BimoduleOperator
 from kgraphs.skeleton import Degree
+
+import oracles as orc
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +59,7 @@ def test_delta_convolution_line_instance(setup_e):
 def test_unit_delta_acts_as_local_identity(setup_b):
     sk, space, G, _ = setup_b
     rng = np.random.default_rng(7)
-    f = alg.random_algebra_element(rng, G)
+    f = orc.random_algebra_element(rng, G)
     e_idx = space.index_of(kg.edge_path(sk, "e"))
     unit = delta_at(G, sk, ["e"], (0,), ["e"])
     projected = kg.convolve(unit, f)
@@ -76,8 +79,8 @@ def test_involution_is_involutive_and_antimultiplicative(setup_e):
     _, _, G, _ = setup_e
     rng = np.random.default_rng(11)
     for _ in range(25):
-        f = alg.random_algebra_element(rng, G)
-        g = alg.random_algebra_element(rng, G)
+        f = orc.random_algebra_element(rng, G)
+        g = orc.random_algebra_element(rng, G)
         assert kg.involution(kg.involution(f)) == f
         lhs = kg.involution(kg.convolve(f, g))
         rhs = kg.convolve(kg.involution(g), kg.involution(f))
@@ -95,20 +98,20 @@ def test_real_unit_function_fixed_by_involution(setup_b):
 
 def test_i_norm_of_point_masses(setup_b):
     sk, _, G, _ = setup_b
-    assert kg.i_norm(delta_at(G, sk, ["e"], (1,), "w")) == 1.0
+    assert orc.i_norm(delta_at(G, sk, ["e"], (1,), "w")) == 1.0
     f = kg.vertex_operator(G, VertexFunction({"v": 3j, "w": -4}))
-    assert kg.i_norm(f) == 4.0
+    assert orc.i_norm(f) == 4.0
     g = delta_at(G, sk, ["e"], (1,), "w")
-    assert kg.i_norm(g + kg.involution(g)) == 1.0
+    assert orc.i_norm(g + kg.involution(g)) == 1.0
 
 
 def test_i_norm_submultiplicative(setup_e):
     _, _, G, _ = setup_e
     rng = np.random.default_rng(13)
     for _ in range(50):
-        f = alg.random_algebra_element(rng, G)
-        g = alg.random_algebra_element(rng, G)
-        assert kg.i_norm(kg.convolve(f, g)) <= kg.i_norm(f) * kg.i_norm(g) + 1e-9
+        f = orc.random_algebra_element(rng, G)
+        g = orc.random_algebra_element(rng, G)
+        assert orc.i_norm(kg.convolve(f, g)) <= orc.i_norm(f) * orc.i_norm(g) + 1e-9
 
 
 # --- regular representation ----------------------------------------------
@@ -120,8 +123,8 @@ def test_regular_representation_is_a_star_homomorphism(setup_b, setup_e):
             rep = alg.RegularRepresentation(gpd)
             rng = np.random.default_rng(17)
             for _ in range(20):
-                f = alg.random_algebra_element(rng, gpd)
-                g = alg.random_algebra_element(rng, gpd)
+                f = orc.random_algebra_element(rng, gpd)
+                g = orc.random_algebra_element(rng, gpd)
                 fg = kg.convolve(f, g)
                 for u in rep.bases:
                     assert np.allclose(
@@ -188,7 +191,7 @@ def test_vertex_operator_zero_and_identity(setup_b):
     one = kg.vertex_operator(G, VertexFunction.indicator(["v", "w"]))
     assert set(one.coefficients) == set(G.unit_index.values())
     rng = np.random.default_rng(3)
-    f = alg.random_algebra_element(rng, G)
+    f = orc.random_algebra_element(rng, G)
     assert kg.convolve(one, f) == f
     assert kg.convolve(f, one) == f
 
@@ -197,8 +200,8 @@ def test_vertex_operator_is_multiplicative(setup_e):
     sk, _, G, _ = setup_e
     rng = np.random.default_rng(5)
     for _ in range(20):
-        f = alg.random_vertex_function(rng, [v.id for v in sk.vertices])
-        g = alg.random_vertex_function(rng, [v.id for v in sk.vertices])
+        f = orc.random_vertex_function(rng, [v.id for v in sk.vertices])
+        g = orc.random_vertex_function(rng, [v.id for v in sk.vertices])
         pointwise = VertexFunction(
             {v.id: f(v.id) * g(v.id) for v in sk.vertices}
         )
@@ -249,7 +252,7 @@ def test_inner_product_orthogonal_and_positive(instance_e):
     assert kg.inner_product(instance_e, a, b).values == {}
     rng = np.random.default_rng(23)
     for _ in range(20):
-        xi = alg.random_edge_function(rng, ["f2", "f3"])
+        xi = orc.random_edge_function(rng, ["f2", "f3"])
         values = kg.inner_product(instance_e, xi, xi).values
         assert all(abs(v.imag) < 1e-12 and v.real >= 0 for v in values.values())
 
@@ -275,9 +278,9 @@ def test_rank_one_operator_matches_defining_identity(instance_e):
     rng = np.random.default_rng(29)
     edges = ["f2", "f3"]
     for _ in range(50):
-        xi = alg.random_edge_function(rng, edges)
-        eta = alg.random_edge_function(rng, edges)
-        zeta = alg.random_edge_function(rng, edges)
+        xi = orc.random_edge_function(rng, edges)
+        eta = orc.random_edge_function(rng, edges)
+        zeta = orc.random_edge_function(rng, edges)
         direct = kg.rank_one_operator(instance_e, xi, eta).apply(zeta)
         paired = kg.right_action(
             instance_e, xi, kg.inner_product(instance_e, eta, zeta)
@@ -309,7 +312,7 @@ def test_rank_one_decomposition_warns_off_regular_support(instance_b):
 def test_rank_one_decomposition_properties_exact(instance_e):
     rng = np.random.default_rng(31)
     for _ in range(20):
-        f = alg.random_vertex_function(rng, ["v1", "v2"])
+        f = orc.random_vertex_function(rng, ["v1", "v2"])
         pairs = kg.rank_one_decomposition(instance_e, f)
         # pointwise product identity, zero deviation
         for e in instance_e.edges:
@@ -322,7 +325,7 @@ def test_rank_one_decomposition_properties_exact(instance_e):
                     if e.id != e2.id and e.source == e2.source:
                         assert xi(e.id) * eta(e2.id).conjugate() == 0
         # operator identity, zero deviation
-        total_op = alg.BimoduleOperator({})
+        total_op = BimoduleOperator({})
         for xi, eta in pairs:
             total_op = total_op + kg.rank_one_operator(instance_e, xi, eta)
         assert (total_op - kg.left_mult_operator(instance_e, f)).max_abs() == 0.0
@@ -331,11 +334,11 @@ def test_rank_one_decomposition_properties_exact(instance_e):
 def test_rank_one_lift_values(setup_b, setup_e):
     sk_b, _, _, Gb_b = setup_b
     pairs = kg.rank_one_decomposition(sk_b, VertexFunction.delta("v"))
-    assert kg.rank_one_lift(Gb_b, pairs) == delta_at(Gb_b, sk_b, ["e"], (0,), ["e"])
-    assert kg.rank_one_lift(Gb_b, []) == AlgebraElement.zero(Gb_b)
+    assert orc.rank_one_lift(Gb_b, pairs) == delta_at(Gb_b, sk_b, ["e"], (0,), ["e"])
+    assert orc.rank_one_lift(Gb_b, []) == AlgebraElement.zero(Gb_b)
     sk_e, _, _, Gb_e = setup_e
     pairs_e = kg.rank_one_decomposition(sk_e, VertexFunction.delta("v2"))
-    assert kg.rank_one_lift(Gb_e, pairs_e) == delta_at(Gb_e, sk_e, ["f3"], (0,), ["f3"])
+    assert orc.rank_one_lift(Gb_e, pairs_e) == delta_at(Gb_e, sk_e, ["f3"], (0,), ["f3"])
 
 
 # --- the defining identities ------------------------------------------
@@ -355,7 +358,7 @@ def test_left_action_identity_with_unit_function(setup_e):
     sk, _, G, _ = setup_e
     one = VertexFunction.indicator([v.id for v in sk.vertices])
     rng = np.random.default_rng(37)
-    xi = alg.random_edge_function(rng, ["f2", "f3"])
+    xi = orc.random_edge_function(rng, ["f2", "f3"])
     lhs = kg.convolve(kg.vertex_operator(G, one), kg.edge_operator(G, xi))
     assert lhs == kg.edge_operator(G, xi)
 
@@ -374,14 +377,14 @@ def test_toeplitz_identities_suite(which, boundary, setup_b, setup_e):
 
 def test_cuntz_krieger_hand_example(setup_b):
     sk, _, _, Gb = setup_b
-    lhs, rhs = alg.cuntz_krieger_sides(Gb, VertexFunction.delta("v"))
+    lhs, rhs = orc.cuntz_krieger_sides(Gb, VertexFunction.delta("v"))
     assert lhs == rhs == delta_at(Gb, sk, ["e"], (0,), ["e"])
 
 
 def test_cuntz_krieger_rejects_singular_support(setup_b):
     _, _, _, Gb = setup_b
     with pytest.raises(ValueError, match="regular"):
-        alg.cuntz_krieger_sides(Gb, VertexFunction.delta("w"))
+        orc.cuntz_krieger_sides(Gb, VertexFunction.delta("w"))
 
 
 @pytest.mark.filterwarnings("error")
@@ -390,11 +393,11 @@ def test_cuntz_krieger_sides_emit_no_warning(setup_b, setup_e):
     for sk, _, _, Gb in (setup_b, setup_e):
         regular = kg.classify_vertices(sk).regular
         f = VertexFunction({v: 1 + n for n, v in enumerate(regular)})
-        lhs, rhs = alg.cuntz_krieger_sides(Gb, f)
+        lhs, rhs = orc.cuntz_krieger_sides(Gb, f)
         assert lhs == rhs
         for source in kg.classify_vertices(sk).sources:
             with pytest.raises(ValueError, match="regular"):
-                alg.cuntz_krieger_sides(Gb, VertexFunction({regular[0]: 1, source: 2}))
+                orc.cuntz_krieger_sides(Gb, VertexFunction({regular[0]: 1, source: 2}))
 
 
 @pytest.mark.parametrize("which", ["b", "e"])
@@ -420,9 +423,9 @@ def test_algebra_identity_suites(setup_b, setup_e):
 def test_quotient_drops_interior_units(setup_b):
     sk, _, G, Gb = setup_b
     interior = delta_at(G, sk, "v", (0,), "v")
-    assert kg.quotient_restrict(interior, Gb) == AlgebraElement.zero(Gb)
+    assert orc.quotient_restrict(interior, Gb) == AlgebraElement.zero(Gb)
     arrow = delta_at(G, sk, ["e"], (1,), "w")
-    assert kg.quotient_restrict(arrow, Gb) == delta_at(Gb, sk, ["e"], (1,), "w")
+    assert orc.quotient_restrict(arrow, Gb) == delta_at(Gb, sk, ["e"], (1,), "w")
 
 
 def test_quotient_multiplicative_exactly(setup_b, setup_e):
@@ -440,34 +443,34 @@ def test_gauge_scales_by_cocycle(setup_b):
     sk, _, G, _ = setup_b
     g = delta_at(G, sk, ["e"], (1,), "w")
     t = complex(np.exp(0.7j))
-    assert kg.gauge_automorphism(g, t) == g.scale(t)
+    assert orc.gauge_automorphism(g, t) == g.scale(t)
     back = kg.involution(g)
-    assert kg.gauge_automorphism(back, t) == back.scale(t.conjugate())
+    assert orc.gauge_automorphism(back, t) == back.scale(t.conjugate())
 
 
 def test_gauge_at_one_is_identity(setup_e):
     _, _, G, _ = setup_e
     rng = np.random.default_rng(41)
-    f = alg.random_algebra_element(rng, G)
-    assert kg.gauge_automorphism(f, 1.0) == f
+    f = orc.random_algebra_element(rng, G)
+    assert orc.gauge_automorphism(f, 1.0) == f
 
 
 def test_gauge_rejects_off_circle_parameters(setup_b):
     _, _, G, _ = setup_b
     rng = np.random.default_rng(43)
-    f = alg.random_algebra_element(rng, G)
+    f = orc.random_algebra_element(rng, G)
     with pytest.raises(ValueError, match="unit circle"):
-        kg.gauge_automorphism(f, 0.5)
+        orc.gauge_automorphism(f, 0.5)
 
 
 def test_gauge_torus_action_on_truncated_rank_two(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((1, 1)))
     G = kg.build_path_groupoid(space)
     rng = np.random.default_rng(47)
-    f = alg.random_algebra_element(rng, G)
+    f = orc.random_algebra_element(rng, G)
     ts = (1j, -1.0)
-    twice = kg.gauge_automorphism(kg.gauge_automorphism(f, ts), ts)
-    direct = kg.gauge_automorphism(f, tuple(t * t for t in ts))
+    twice = orc.gauge_automorphism(orc.gauge_automorphism(f, ts), ts)
+    direct = orc.gauge_automorphism(f, tuple(t * t for t in ts))
     assert (twice - direct).max_abs() < 1e-12
 
 
@@ -486,16 +489,16 @@ def test_gauge_grading_of_homogeneous_products(setup_e):
     _, _, G, _ = setup_e
     rng = np.random.default_rng(53)
     for _ in range(30):
-        f = alg.random_algebra_element(rng, G)
-        g = alg.random_algebra_element(rng, G)
-        for mf in alg.support_levels(f):
-            for mg in alg.support_levels(g):
+        f = orc.random_algebra_element(rng, G)
+        g = orc.random_algebra_element(rng, G)
+        for mf in orc.support_levels(f):
+            for mg in orc.support_levels(g):
                 prod = kg.convolve(
-                    alg.homogeneous_component(f, mf),
-                    alg.homogeneous_component(g, mg),
+                    orc.homogeneous_component(f, mf),
+                    orc.homogeneous_component(g, mg),
                 )
                 expected = tuple(a + b for a, b in zip(mf, mg))
-                assert alg.support_levels(prod) <= {expected}
+                assert orc.support_levels(prod) <= {expected}
 
 
 # --- generation -----------------------------------------------------------

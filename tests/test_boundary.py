@@ -195,18 +195,18 @@ def test_element_prefix_tables_cohere(instance_e):
 def test_shift_to_source(instance_b):
     space = kg.enumerate_path_space(instance_b)
     e = space.elements[space.index_of(kg.edge_path(instance_b, "e"))]
-    shifted = kg.shift(instance_b, e, Degree((1,)))
+    shifted = orc.shift(instance_b, e, Degree((1,)))
     assert shifted.path == kg.vertex_path(instance_b, "w")
-    assert kg.shift(instance_b, e, Degree((0,))) == e
+    assert orc.shift(instance_b, e, Degree((0,))) == e
 
 
 def test_shift_composes(instance_e):
     space = kg.enumerate_path_space(instance_e)
     for el in space:
         for m in degree_box(el.path.degree):
-            once = kg.shift(instance_e, el, m)
+            once = orc.shift(instance_e, el, m)
             for n in degree_box(once.path.degree):
-                assert kg.shift(instance_e, once, n) == kg.shift(
+                assert orc.shift(instance_e, once, n) == orc.shift(
                     instance_e, el, m + n
                 )
 
@@ -215,13 +215,13 @@ def test_shift_rejects_overrun(instance_b):
     space = kg.enumerate_path_space(instance_b)
     v = space.elements[space.index_of(kg.vertex_path(instance_b, "v"))]
     with pytest.raises(ValueError, match="shift"):
-        kg.shift(instance_b, v, Degree((1,)))
+        orc.shift(instance_b, v, Degree((1,)))
 
 
 def test_shift_truncated_class(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((1, 1)))
     full = next(el for el in space if el.path.degree == Degree((1, 1)))
-    smaller = kg.shift(instance_a, full, Degree((1, 0)))
+    smaller = orc.shift(instance_a, full, Degree((1, 0)))
     assert smaller.path.degree == Degree((0, 1))
     assert smaller.truncated and smaller.unbounded == (True, True)
 
@@ -241,7 +241,7 @@ def test_prepend_then_shift_recovers(instance_a):
     b = kg.edge_path(instance_a, "b")
     combined = kg.prepend(instance_a, b, r_el)
     assert combined.path.degree == Degree((1, 1))
-    assert kg.shift(instance_a, combined, b.degree).path == r_el.path
+    assert orc.shift(instance_a, combined, b.degree).path == r_el.path
 
 
 # --- boundary membership ------------------------------------------------
@@ -312,7 +312,7 @@ def test_boundary_invariance(instance_b, instance_e):
         boundary = {el.path for el in bp}
         for el in bp:
             for m in degree_box(el.path.degree):
-                assert kg.shift(sk, el, m).path in boundary
+                assert orc.shift(sk, el, m).path in boundary
             for lam in kg.enumerate_paths(sk):
                 if kg.source(sk, lam) == el.path.range:
                     assert kg.prepend(sk, lam, el).path in boundary

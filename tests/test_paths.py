@@ -170,12 +170,12 @@ def test_compose_factorize_round_trip(instance_a):
 
 def test_segment_endpoints_and_middle(instance_a):
     bbr = kg.all_paths(instance_a, Degree((2, 1)))[0]
-    assert kg.segment(instance_a, bbr, Degree((0, 0)), bbr.degree) == bbr
-    mid = kg.segment(instance_a, bbr, Degree((1, 0)), Degree((2, 1)))
+    assert orc.segment(instance_a, bbr, Degree((0, 0)), bbr.degree) == bbr
+    mid = orc.segment(instance_a, bbr, Degree((1, 0)), Degree((2, 1)))
     assert mid == kg.compose(
         instance_a, kg.edge_path(instance_a, "b"), kg.edge_path(instance_a, "r")
     )
-    point = kg.segment(instance_a, bbr, Degree((1, 0)), Degree((1, 0)))
+    point = orc.segment(instance_a, bbr, Degree((1, 0)), Degree((1, 0)))
     assert point.is_vertex and point.range == "u"
 
 
@@ -184,13 +184,13 @@ def test_segment_prefix_is_factorize_head(instance_e):
         instance_e, kg.edge_path(instance_e, "f2"), kg.edge_path(instance_e, "f3")
     )
     q = Degree((1,))
-    assert kg.segment(instance_e, lam, Degree((0,)), q) == kg.factorize(instance_e, lam, q)[0]
+    assert orc.segment(instance_e, lam, Degree((0,)), q) == kg.factorize(instance_e, lam, q)[0]
 
 
 def test_segment_rejects_bad_bounds(instance_e):
     lam = kg.edge_path(instance_e, "f2")
     with pytest.raises(ValueError, match="segment bounds"):
-        kg.segment(instance_e, lam, Degree((1,)), Degree((0,)))
+        orc.segment(instance_e, lam, Degree((1,)), Degree((0,)))
 
 
 # --- minimal common extensions ---------------------------------------
@@ -272,34 +272,34 @@ def test_common_extensions_of_singletons(instance_a, instance_b):
     b = kg.edge_path(instance_a, "b")
     r = kg.edge_path(instance_a, "r")
     br = kg.compose(instance_a, b, r)
-    assert kg.minimal_common_extensions(instance_a, [b], [r]) == (br,)
-    assert kg.minimal_common_extensions(instance_a, [b], [b]) == (b,)
+    assert orc.minimal_common_extensions(instance_a, [b], [r]) == (br,)
+    assert orc.minimal_common_extensions(instance_a, [b], [b]) == (b,)
     v = kg.vertex_path(instance_b, "v")
     e = kg.edge_path(instance_b, "e")
-    assert kg.minimal_common_extensions(instance_b, [v], [e]) == (e,)
+    assert orc.minimal_common_extensions(instance_b, [v], [e]) == (e,)
 
 
 def test_common_extensions_reject_mixed_degrees(instance_b):
     v = kg.vertex_path(instance_b, "v")
     e = kg.edge_path(instance_b, "e")
     with pytest.raises(ValueError, match="mixes degrees"):
-        kg.minimal_common_extensions(instance_b, [v, e], [e])
+        orc.minimal_common_extensions(instance_b, [v, e], [e])
 
 
 # --- alignment survey -------------------------------------------------
 
 
 def test_alignment_survey_values(instance_a, instance_b):
-    rep_b = kg.alignment_report(instance_b, Degree((1,)))
+    rep_b = orc.alignment_report(instance_b, Degree((1,)))
     assert rep_b.max_size == 1 and rep_b.passed
     assert rep_b.rank_one_single_valued is True
-    rep_a = kg.alignment_report(instance_a, Degree((1, 1)))
+    rep_a = orc.alignment_report(instance_a, Degree((1, 1)))
     assert rep_a.max_size == 1 and rep_a.passed
     assert rep_a.rank_one_single_valued is None
 
 
 def test_alignment_at_bound_zero(instance_e):
-    rep = kg.alignment_report(instance_e, Degree((0,)))
+    rep = orc.alignment_report(instance_e, Degree((0,)))
     assert rep.max_size == 1
 
 

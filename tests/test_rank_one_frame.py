@@ -1,8 +1,9 @@
 """The rank-1 columns of `IndexArrays` and the one frame the Cuntz-Krieger suite lifts.
 
 `verify_cuntz_krieger` decomposes the indicator of the regular vertices once
-per call into the frame (delta_e, delta_e) and lifts each sample f over it as
-f(r(e)) S(delta_e) S(delta_e)*.  That rests on one identity: the decomposition
+per call into the frame (delta_e, delta_e), forms each projection
+P_e = S(delta_e) S(delta_e)* once per call, and lifts each sample f as the sum
+of f(r(e)) P_e.  That rests on one identity: the decomposition
 of f is the left action of f on that frame, pair for pair, less the pairs f
 sends to 0 (hypothesis, derandomized, no example database).  The
 decomposition itself takes time linear in its pairs.
@@ -45,6 +46,23 @@ def test_the_cuntz_krieger_suite_decomposes_once_per_call(monkeypatch, name, sam
     monkeypatch.setattr(alg, "rank_one_decomposition", spy)
     assert alg.verify_cuntz_krieger(Gb, samples).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", [0, 1, 100])
+def test_the_cuntz_krieger_suite_forms_each_projection_once_per_call(monkeypatch, samples):
+    """Line n=12 runs one sample per chunk, so forming them per chunk would convolve 12 times a sample."""
+    sk = kg.load_skeleton(line_document(12))
+    Gb = kg.build_boundary_groupoid(kg.enumerate_path_space(sk))
+    calls = []
+    convolve_rows = alg._convolve_rows
+
+    def spy(G, F, H):
+        calls.append(G)
+        return convolve_rows(G, F, H)
+
+    monkeypatch.setattr(alg, "_convolve_rows", spy)
+    assert alg.verify_cuntz_krieger(Gb, samples).passed
+    assert len(calls) == (len(sk.edges) if samples else 0)
 
 
 def test_the_decomposition_still_guards_the_cuntz_krieger_suite(monkeypatch):
