@@ -24,7 +24,7 @@ samples stacked as rows, drawn in the order one sample at a time draws them
 `np.bincount` over the bins ab + |G| row convolves each row as one element,
 so every report equals the per-sample loop's (tests/oracles.py).  `_CHUNK`
 caps a chunk's terms, rows x composable pairs, whatever `samples` is.  The
-Cuntz-Krieger suite lifts one `rank_one_decomposition` per call and forms its
+Cuntz-Krieger suite lifts one `rank_one_decomposition` per call and sums its
 edge projections S(delta_e) S(delta_e)* once per call.
 
 `generation_check` certifies generation without a span closure: on a full
@@ -478,10 +478,10 @@ def verify_cuntz_krieger(
     """P(f) equals the lift of left multiplication by f on the boundary groupoid.
 
     Also checks the degree-zero edge case: every degree-0 boundary path is a
-    source vertex, so both sides vanish on those units.  The lift sums f(r(e)) P_e over
-    the frame (delta_e, delta_e) of one `rank_one_decomposition` per call, checked once:
-    each projection P_e = S(delta_e) S(delta_e)* is formed once per call, in edge order,
-    and only when there is a sample.
+    source vertex, so both sides vanish on those units.  The lift of f is f(r(x)) times
+    the sum of the projections P_e = S(delta_e) S(delta_e)* over the frame (delta_e, delta_e)
+    of one checked `rank_one_decomposition`, formed once per call, in edge order, if sampled:
+    the P_e have disjoint supports ((x, 0, x') lies in that of x's first edge e; r(e) = r(x)).
     """
     sk = _require_rank_one(boundary_G)
     classes, arrays = classify_vertices(sk), index_arrays(boundary_G)
@@ -495,15 +495,16 @@ def verify_cuntz_krieger(
             if el.path.range not in classes.sources:
                 notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
     frame = rank_one_decomposition(sk, VertexFunction.indicator(classes.regular))
-    projections = []  # the frame lists every edge, in order
+    vertex, edge = ({a.id: j for j, a in enumerate(items)} for items in (sk.vertices, sk.edges))
+    at_range = np.array([vertex[el.path.range] for el in boundary_G.space], dtype=np.intp)[arrays.x]
+    projections = np.zeros((1, len(boundary_G)), complex)  # the sum of the P_e
     for _, eta in frame if samples > 0 else ():
-        s = _edge_rows(boundary_G, np.array([[eta(e.id) for e in sk.edges]]))
-        projections.append(_convolve_rows(boundary_G, s, np.conj(s[:, arrays.inverse])))
+        columns, values = [edge[e] for e in eta.values], [[*eta.values.values()]]
+        s = _edge_rows(boundary_G, _scatter(len(sk.edges), columns, values))
+        projections += _convolve_rows(boundary_G, s, np.conj(s[:, arrays.inverse]))
     for rows in _chunks(boundary_G, samples):
         f = _scatter(len(sk.vertices), regular, _normal_rows(rng, (rows, len(regular))))
-        lhs, rhs = _vertex_rows(boundary_G, f), np.zeros((rows, len(boundary_G)), complex)
-        for p, into in zip(projections, arrays.edge_range):
-            rhs = rhs + _multiply(f[:, into, None], p)  # S(f . delta_e) S(delta_e)* = f(r(e)) P_e
+        lhs, rhs = _vertex_rows(boundary_G, f), _multiply(f[:, at_range], projections)
         at_zero = _max_abs(lhs[:, degree_zero]), _max_abs(rhs[:, degree_zero])
         deviation = max(deviation, _max_abs(lhs - rhs), *at_zero)
     passed = deviation <= tol and not notes

@@ -8,8 +8,10 @@ bound, with per-color markers recording whether extensions continue past the
 bound or run forever (read off `Skeleton.cycle_colors`).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
-splits, built on first use (`factors`, `index_of_factors`); the groupoid
-build and checks, the edge operators and `is_boundary` read it.
+splits, built on first use from one-letter splits (`factors`,
+`index_of_factors`), which the groupoid build and checks and the edge
+operators read; per element, it keeps the members its exhaustive sets have
+among its prefixes (`obligations`), and `is_boundary` joins those of a tail.
 """
 
 from __future__ import annotations
@@ -205,6 +207,8 @@ class FinitePathSpace:
         self.elements: tuple[PathSpaceElement, ...] = tuple(elements)
         self.boundary_only = boundary_only
         self._index = {el.path: i for i, el in enumerate(self.elements)}
+        self._sets: dict[str, tuple[ExhaustiveSet, ...]] = {}
+        self._obligations: dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -220,11 +224,36 @@ class FinitePathSpace:
 
     @cached_property
     def factors(self) -> tuple[dict[tuple[int, ...], tuple[Path, Path]], ...]:
-        """factors[i][m.coords] is factorize(x_i, m), for every m <= d(x_i)."""
-        return tuple(
-            {m.coords: pth.factorize(self.skeleton, el.path, m) for m in degree_box(el.degree)}
-            for el in self.elements
-        )
+        """factors[i][m.coords] is factorize(x_i, m), for every m <= d(x_i).
+
+        One `factorize` per color c of each path x splits off its last color-c
+        letter g, x = x'.g: x splits at d(x) as (x, s(x)), at m with m_c < d(x)_c
+        as (h, t.g) for the split (h, t) of x' at m.  Rows run, by total degree,
+        over the elements' prefix closure: it holds each t.g if they are closed under tails.
+        """
+        sk, nodes, index = self.skeleton, [el.path for el in self.elements], dict(self._index)
+        cuts: dict[tuple[int, int], tuple[int, str]] = {}  # (x, c) -> (index of x', letter g)
+        appended: dict[tuple[int, str], int] = {}  # (id of node x', letter g) -> index of x'.g
+        for i, x in enumerate(nodes):  # grows with the heads outside the elements
+            d = x.degree.coords
+            for c in (c for c, n in enumerate(d) if n):
+                head, g = pth.factorize(sk, x, Degree(d[:c] + (d[c] - 1,) + d[c + 1 :]))
+                if index.setdefault(head, len(nodes)) == len(nodes):
+                    nodes.append(head)
+                cuts[i, c] = index[head], g.blocks[c][0]
+                appended[id(nodes[index[head]]), g.blocks[c][0]] = i
+        rows: list[dict] = [{} for _ in nodes]  # heads and tails are nodes, so an id names one
+        boxes: dict = {}  # per degree d: each m < d, in `degree_box` order, with a c where m_c < d_c
+        for i in sorted(range(len(nodes)), key=lambda i: nodes[i].degree.total):
+            x, d = nodes[i], nodes[i].degree.coords
+            if d not in boxes:
+                boxes[d] = [(m.coords, next(c for c, (a, b) in enumerate(zip(m.coords, d)) if a < b))
+                            for m in degree_box(x.degree) if m.coords != d]
+            for m, c in boxes[d]:
+                j, g = cuts[i, c]
+                rows[i][m] = rows[j][m][0], nodes[appended[id(rows[j][m][1]), g]]
+            rows[i][d] = x, nodes[index[pth.vertex_path(sk, pth.source(sk, x))]]
+        return tuple(rows[: len(self.elements)])
 
     @cached_property
     def index_of_factors(self) -> dict[tuple[Path, Path], int]:
@@ -242,6 +271,20 @@ class FinitePathSpace:
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
+
+    def obligations(self, y: Path) -> list[tuple[tuple[Path, ...], Path | None]]:
+        """(members, first member that is a prefix of y, or None) per minimal exhaustive
+        set at r(y), in order, up to the first None; kept per element, the sets per vertex."""
+        if (i := self.index_of(y)) not in self._obligations:
+            if y.range not in self._sets:
+                self._sets[y.range] = minimal_exhaustive_sets(self.skeleton, y.range)
+            row, found = self.factors[i], self._obligations.setdefault(i, [])
+            for ex_set in self._sets[y.range]:
+                prefixes = (p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] == p)
+                found.append((ex_set.members, next(prefixes, None)))
+                if found[-1][1] is None:
+                    break
+        return self._obligations[i]
 
 
 def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
@@ -281,12 +324,18 @@ class BoundaryEntry:
     members: tuple[Path, ...]
     witness: Path | None
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict) -> dict:
+        """Serialize; a shared `memo` (id -> (object, JSON)) converts each object once."""
+        if id(self.members) not in memo:
+            memo[id(self.members)] = self.members, [p.to_json() for p in self.members]
+        if id(self.witness) not in memo:
+            witness = None if self.witness is None else self.witness.to_json()
+            memo[id(self.witness)] = self.witness, witness
         return {
             "at": list(self.at.coords),
             "vertex": self.vertex,
-            "set": [p.to_json() for p in self.members],
-            "witness": None if self.witness is None else self.witness.to_json(),
+            "set": memo[id(self.members)][1],
+            "witness": memo[id(self.witness)][1],
         }
 
 
@@ -295,34 +344,30 @@ class BoundaryCertificate:
     status: str  # "boundary" | "not_boundary" | "undecided_at_bound"
     entries: tuple[BoundaryEntry, ...]
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "entries": [e.to_json() for e in self.entries]}
+    def to_json(self, memo: dict | None = None) -> dict:
+        entries = [e.to_json({} if memo is None else memo) for e in self.entries]
+        return {"status": self.status, "entries": entries}
 
 
 def is_boundary(
-    space: FinitePathSpace, x: PathSpaceElement | Path, _cache: dict | None = None
+    space: FinitePathSpace, x: PathSpaceElement | Path
 ) -> tuple[bool | None, BoundaryCertificate]:
     """Decide boundary membership of an exact element, with a certificate.
 
     For every position m along the path and every minimal exhaustive set at
-    the vertex there, some member must be a prefix of the tail.  The tail
-    after m and the tail's prefixes are read off the space's `factors`, so x
+    the vertex there, some member must be a prefix of the tail.  The entries
+    at m are the tail's `obligations`, read off the space's `factors`, so x
     must be an element of the space.  Truncated spaces cannot settle this;
     the certificate then says so and the boolean is None.
     """
     el = x if isinstance(x, PathSpaceElement) else PathSpaceElement(x)
     if not space.is_exact or el.truncated:
         return None, BoundaryCertificate("undecided_at_bound", ())
-    cache = _cache if _cache is not None else {}
     entries: list[BoundaryEntry] = []
     for m, (_, tail) in space.factors[space.index_of(el.path)].items():
-        v = tail.range
-        prefixes = {head for head, _ in space.factors[space.index_of(tail)].values()}
-        if v not in cache:
-            cache[v] = minimal_exhaustive_sets(space.skeleton, v)
-        for ex_set in cache[v]:
-            witness = next((lam for lam in ex_set.members if lam in prefixes), None)
-            entries.append(BoundaryEntry(Degree(m), v, ex_set.members, witness))
+        at = Degree(m)
+        for members, witness in space.obligations(tail):
+            entries.append(BoundaryEntry(at, tail.range, members, witness))
             if witness is None:
                 return False, BoundaryCertificate("not_boundary", tuple(entries))
     return True, BoundaryCertificate("boundary", tuple(entries))
@@ -346,20 +391,14 @@ def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
 
 def boundary_report(space: FinitePathSpace) -> dict:
     """Serializable boundary listing with certificates and vertex classes."""
-    sk = space.skeleton
-    cache: dict = {}
-    members = []
-    for el, row in zip(space.elements, space.factors):
-        verdict, cert = is_boundary(space, el, cache)
-        members.append(
-            {
-                "element": el.to_json(row),
-                "boundary": verdict,
-                "certificate": cert.to_json(),
-            }
-        )
+    memo: dict = {}  # each member list and witness is converted once, shared by its entries
+    members = [
+        {"element": el.to_json(row), "boundary": verdict, "certificate": cert.to_json(memo)}
+        for el, row in zip(space.elements, space.factors)
+        for verdict, cert in [is_boundary(space, el)]
+    ]
     return {
-        "classification": classify_vertices(sk).to_json(),
+        "classification": classify_vertices(space.skeleton).to_json(),
         "elements": members,
         "boundary_size": sum(1 for m in members if m["boundary"]),
     }

@@ -3,16 +3,16 @@
 Elements are triples (x, m, y): two space elements whose tails agree after
 shifts differing by m in Z^k.  Finite paths share a tail exactly when they
 share a source, so the elements pair up each source block, m = d(x) - d(y),
-each with its least witnessing shift pair from the path space's
-factorization table (`FinitePathSpace.factors`); equality ignores witnesses.
-Composition is label arithmetic, (x, m, y)(y, n, z) = (x, m + n, z), looked
-up in the label index; `by_range` lists the elements that can follow a
-given one.  Integer addition is associative, so the axiom check needs
-closure (which `is_full` certifies for a built list), units, inverses and
-distinct labels, never a walk over composable triples.  The module also
-verifies, at finite scale, the structure that makes the groupoid etale:
-cylinder sets cover it and the range and source maps are injective on each
-cylinder.
+each with its least witnessing shift pair from the path space's (head, tail)
+splits, built by one-letter recursion (`FinitePathSpace.factors`); equality
+ignores witnesses.  Composition is label arithmetic, (x, m, y)(y, n, z) =
+(x, m + n, z), looked up in the label index; `by_range` lists the elements
+that can follow a given one.  Integer addition is associative, so the axiom
+check needs closure (which `is_full` certifies for a built list), units,
+inverses and distinct labels, never a walk over composable triples.  The
+module also verifies, at finite scale, the structure that makes the groupoid
+etale: cylinder sets cover it and the range and source maps are injective on
+each cylinder.
 """
 
 from __future__ import annotations

@@ -195,3 +195,22 @@ def test_stars_match_the_rescan(leaves, spoke):
 
 def test_star_products_match_the_rescan():
     check_against_the_rescan(product(star(3, 1), star(2, 2)))
+
+
+@pytest.mark.parametrize("name", ["tree-0", "multigraph-0", "grid-(2, 3)", "fork-squared", "tree-product-0"])
+def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, name):
+    """The space keeps each vertex's minimal exhaustive sets: one search per distinct range vertex."""
+    sk = dict(INSTANCES)[name]
+    space = kg.enumerate_path_space(sk)
+    calls = []
+    search = kg.boundary.minimal_exhaustive_sets
+
+    def spy(sk, vertex_id):
+        calls.append(vertex_id)
+        return search(sk, vertex_id)
+
+    monkeypatch.setattr(kg.boundary, "minimal_exhaustive_sets", spy)
+    report = kg.boundary.boundary_report(space)
+    for _ in range(3):
+        assert [kg.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
+    assert sorted(calls) == sorted({el.path.range for el in space})

@@ -1,8 +1,10 @@
 """The factorization table of `FinitePathSpace` and the code that reads it.
 
-The source blocks of `build_path_groupoid` and the table lookups of
-`cylinder` are checked against the tail join, the all-pairs build and the
-prepend-based cylinder kept in `oracles.py`.
+The table, built from one-letter splits, must equal `factorize` split for
+split (hypothesis, derandomized, no example database), with one `factorize`
+call per color of each path.  The source blocks of `build_path_groupoid` and
+the table lookups of `cylinder` are checked against the tail join, the
+all-pairs build and the prepend-based cylinder kept in `oracles.py`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 import kgraphs as kg
 from kgraphs import boundary as bnd
@@ -21,6 +24,8 @@ from kgraphs.skeleton import Degree, degree_box
 
 from conftest import instance_path, line_document
 from oracles import all_pairs_path_groupoid, prepend_cylinder, tail_join_path_groupoid
+from test_full_groupoid import path_spaces
+from test_validate_properties import examples
 from test_verify_digests import tree_document
 
 
@@ -90,6 +95,33 @@ def test_factors_are_factorize_and_index_of_factors_round_trips(spaces):
                 assert space.index_of_factors[(head, tail)] == i
             splits += len(row)
         assert len(space.index_of_factors) == splits, name
+
+
+@examples(60)
+@given(path_spaces())
+def test_every_row_is_factorize_and_an_enumerated_space_splits_into_its_own_paths(space):
+    """The one-letter recursion, split for split, also on boundary restrictions (not prefix-closed)."""
+    for s in [space, *([kg.boundary_paths(space)] if space.is_exact else [])]:
+        for el, row in zip(s.elements, s.factors):
+            want = [(m.coords, pth.factorize(s.skeleton, el.path, m)) for m in degree_box(el.degree)]
+            assert list(row.items()) == want
+    own = {id(el.path) for el in space.elements}
+    assert all(id(p) in own for row in space.factors for split in row.values() for p in split)
+
+
+def test_the_table_calls_factorize_once_per_color_of_each_path(monkeypatch):
+    """Grid 3x3: one call per (path, color it has), not one per (path, m <= its degree)."""
+    space = kg.enumerate_path_space(grid(2, (3, 3)))
+    calls = []
+    factorize = pth.factorize
+
+    def spy(sk, p, m):
+        calls.append(p)
+        return factorize(sk, p, m)
+
+    monkeypatch.setattr(pth, "factorize", spy)
+    assert len(space.factors) == len(space)
+    assert len(calls) <= sum(sum(1 for n in el.degree.coords if n) for el in space)
 
 
 def test_etale_cylinders_equal_the_prepend_oracle(spaces, monkeypatch):

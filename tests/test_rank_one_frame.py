@@ -6,7 +6,10 @@ P_e = S(delta_e) S(delta_e)* once per call, and lifts each sample f as the sum
 of f(r(e)) P_e.  That rests on one identity: the decomposition
 of f is the left action of f on that frame, pair for pair, less the pairs f
 sends to 0 (hypothesis, derandomized, no example database).  The
-decomposition itself takes time linear in its pairs.
+decomposition itself takes time linear in its pairs, and so does reading the
+frame's rows.  The P_e have disjoint supports, so the lift is one gather of f
+at each element's range times their sum; its reports equal the per-sample
+oracle's, floats included.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import kgraphs as kg
 from kgraphs import algebra as alg
 from kgraphs.bimodule import BimoduleOperator, EdgeFunction, VertexFunction
 
+import oracles as orc
 from conftest import line_document, load_instance
-from test_boundary_search import tree
+from test_boundary_search import star, tree
 from test_stacked_suites import groupoids
 
 TREES = {f"tree-{seed}": tree(random.Random(seed), size) for seed, size in ((1, 5), (2, 8), (3, 11))}
@@ -140,3 +144,37 @@ def test_the_decomposition_takes_linear_time_on_a_star(monkeypatch):
     pairs = kg.rank_one_decomposition(sk, VertexFunction.delta("c", 2j))
     assert [xi.values for xi, _ in pairs] == [{f"e{v}": 2j} for v in leaves]
     assert len(calls) <= 10 * len(sk.edges)
+
+
+def test_the_cuntz_krieger_frame_rows_take_linear_time_on_a_star(monkeypatch):
+    """2,000 leaves feed one vertex: reading each frame row edge by edge calls the deltas 4,000,000 times."""
+    sk = star(2000, 1)
+    Gb = kg.build_boundary_groupoid(kg.enumerate_path_space(sk))
+    calls = [0]
+    call = EdgeFunction.__call__
+
+    def counted(self, edge_id):
+        calls[0] += 1
+        return call(self, edge_id)
+
+    monkeypatch.setattr(EdgeFunction, "__call__", counted)
+    assert alg.verify_cuntz_krieger(Gb, 1).passed
+    assert calls[0] <= 10 * len(sk.edges)
+
+
+LIFTED = {
+    **{f"line-{n}": kg.load_skeleton(line_document(n)) for n in (3, 4, 6, 12, 16)},
+    **TREES,
+    "star-500": star(500, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED))
+def test_the_lift_by_one_gather_equals_the_per_sample_oracle(name):
+    """Seeds 0, 1 and 7; the per-sample oracle is slow on the larger inputs, so they run fewer samples."""
+    Gb = kg.build_boundary_groupoid(kg.enumerate_path_space(LIFTED[name]))
+    counts = {"star-500": (0, 1), "line-12": (0, 1, 100), "line-16": (0, 1, 100)}.get(name, (0, 1, 100, 257))
+    for seed in (0, 1, 7):
+        for samples in counts:
+            want = orc.verify_cuntz_krieger(Gb, samples, 1e-9, seed)
+            assert alg.verify_cuntz_krieger(Gb, samples, 1e-9, seed) == want, (seed, samples)
