@@ -9,9 +9,11 @@ bound or run forever (read off `Skeleton.cycle_colors`).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
 splits, built on first use from one-letter splits (`factors`,
-`index_of_factors`), which the groupoid build and checks and the edge
-operators read; per element, it keeps the members its exhaustive sets have
-among its prefixes (`obligations`), and `is_boundary` joins those of a tail.
+`index_of_factors`), which the exhaustive-set search, the groupoid build
+and checks and the edge operators read; per element, it keeps the members
+its exhaustive sets have among its prefixes (`obligations`), and
+`is_boundary` joins those of a tail.  A boundary restriction reads both
+from the space it restricts.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def is_exhaustive(
     return ExhaustivenessResult("unknown", bound=bound)
 
 
-def minimal_exhaustive_sets(sk: Skeleton, vertex_id: str) -> tuple[ExhaustiveSet, ...]:
+def minimal_exhaustive_sets(
+    sk: Skeleton, vertex_id: str, space: FinitePathSpace | None = None
+) -> tuple[ExhaustiveSet, ...]:
     """All inclusion-minimal exhaustive subsets of the paths at a vertex.
 
     Monotonicity (supersets of exhaustive sets are exhaustive) means these
@@ -104,18 +108,31 @@ def minimal_exhaustive_sets(sk: Skeleton, vertex_id: str) -> tuple[ExhaustiveSet
     edge), and a path shares an extension with a maximal path only as its
     prefix.  So a set is exhaustive iff it holds a prefix of every maximal
     path: the minimal ones are the minimal transversals of the maximal
-    paths' prefix sets.  Branch on the first maximal path not yet hit, bar
-    each member from its later sibling branches, and drop a choice that
-    leaves a chosen member hitting no maximal path alone; list by (size,
-    pool indices), the order of a smallest-first search over subsets.  Each
-    branch keeps, per maximal path, the number of chosen members it holds,
-    so a choice is checked against the rows of the chosen members only.
+    paths' prefix sets.  An exact `space` that holds the paths at the
+    vertex gives the pool (`by_range`) and each path's prefixes (the heads
+    in its row of `factors`); without one, the pool is `paths_with_range`
+    and a path's prefixes are itself and those of its `_one_letter_cuts`.
+    Branch on the first maximal path not yet hit, bar each member from its
+    later sibling branches, and drop a choice that leaves a chosen member
+    hitting no maximal path alone; list by (size, pool indices), the order
+    of a smallest-first search over subsets.  Each branch keeps, per
+    maximal path, the number of chosen members it holds, so a choice is
+    checked against the rows of the chosen members only.
     """
-    pool = pth.paths_with_range(sk, vertex_id)
-    index = {p: i for i, p in enumerate(pool)}
+    if space is None:
+        pool = pth.paths_with_range(sk, vertex_id)
+        at = {p: i for i, p in enumerate(pool)}
+        heads: list = [set() for _ in pool]
+        for i in sorted(range(len(pool)), key=lambda i: pool[i].degree.total):
+            heads[i] = {i}.union(*(heads[at[h]] for _, h, _ in _one_letter_cuts(sk, pool[i])))
+    else:
+        ids = space.by_range[vertex_id]
+        pool = [space.elements[i].path for i in ids]
+        at = {id(p): i for i, p in enumerate(pool)}  # the heads in `factors` are these objects
+        heads = [(at[id(h)] for h, _ in space.factors[i].values()) for i in ids]
     rows = [
-        sorted(index[pth.factorize(sk, g, m)[0]] for m in degree_box(g.degree))
-        for g in pool
+        sorted(heads[i])
+        for i, g in enumerate(pool)
         if not sk.edges_by_range[pth.source(sk, g)]
     ]
     bits = [sum(1 << i for i in row) for row in rows]
@@ -178,11 +195,15 @@ class PathSpaceElement:
             for c, unb in zip(self.path.degree.coords, self.unbounded)
         )
 
-    def to_json(self, factors: dict[tuple[int, ...], tuple[Path, Path]]) -> dict:
-        """Serialize, given the element's row of its space's `factors` table."""
+    def to_json(
+        self, factors: dict[tuple[int, ...], tuple[Path, Path]], memo: dict | None = None
+    ) -> dict:
+        """Serialize, given the element's row of its space's `factors` table; a shared
+        `memo` converts each prefix once."""
+        memo = {} if memo is None else memo
         out: dict = {
             "degree": [c if c != float("inf") else "inf" for c in self.extended_degree],
-            "prefixes": [[list(m), head.to_json()] for m, (head, _) in sorted(factors.items())],
+            "prefixes": [[list(m), _json(memo, head)] for m, (head, _) in sorted(factors.items())],
             "truncated": self.truncated,
         }
         if self.truncated:
@@ -191,21 +212,21 @@ class PathSpaceElement:
 
 
 class FinitePathSpace:
-    """An enumerated path space: exact (all paths) or truncated at a bound."""
+    """An enumerated path space, exact or truncated at a bound; or a `parent`'s restriction."""
 
     def __init__(
         self,
         skeleton: Skeleton,
         mode: str,
         elements,
-        boundary_only: bool = False,
+        parent: FinitePathSpace | None = None,
     ):
         if mode not in ("exact", "truncated"):
             raise ValueError(f"mode must be 'exact' or 'truncated', got {mode!r}")
         self.skeleton = skeleton
         self.mode = mode
         self.elements: tuple[PathSpaceElement, ...] = tuple(elements)
-        self.boundary_only = boundary_only
+        self.parent = parent
         self._index = {el.path: i for i, el in enumerate(self.elements)}
         self._sets: dict[str, tuple[ExhaustiveSet, ...]] = {}
         self._obligations: dict[int, list] = {}
@@ -226,34 +247,33 @@ class FinitePathSpace:
     def factors(self) -> tuple[dict[tuple[int, ...], tuple[Path, Path]], ...]:
         """factors[i][m.coords] is factorize(x_i, m), for every m <= d(x_i).
 
-        One `factorize` per color c of each path x splits off its last color-c
-        letter g, x = x'.g: x splits at d(x) as (x, s(x)), at m with m_c < d(x)_c
-        as (h, t.g) for the split (h, t) of x' at m.  Rows run, by total degree,
-        over the elements' prefix closure: it holds each t.g if they are closed under tails.
+        Each color c of each path x splits off its last color-c letter g, x = x'.g
+        (`_one_letter_cuts`): x splits at d(x) as (x, s(x)), at m with m_c < d(x)_c
+        as (h, t.g) for the split (h, t) of x' at m.  Needs the elements closed
+        under prefixes and tails; a restriction is not, and reads its parent's rows.
         """
-        sk, nodes, index = self.skeleton, [el.path for el in self.elements], dict(self._index)
+        if self.parent is not None:
+            rows, at = self.parent.factors, self.parent.index_of
+            return tuple(rows[at(el.path)] for el in self.elements)
+        sk, paths, index = self.skeleton, [el.path for el in self.elements], self._index
         cuts: dict[tuple[int, int], tuple[int, str]] = {}  # (x, c) -> (index of x', letter g)
-        appended: dict[tuple[int, str], int] = {}  # (id of node x', letter g) -> index of x'.g
-        for i, x in enumerate(nodes):  # grows with the heads outside the elements
-            d = x.degree.coords
-            for c in (c for c, n in enumerate(d) if n):
-                head, g = pth.factorize(sk, x, Degree(d[:c] + (d[c] - 1,) + d[c + 1 :]))
-                if index.setdefault(head, len(nodes)) == len(nodes):
-                    nodes.append(head)
-                cuts[i, c] = index[head], g.blocks[c][0]
-                appended[id(nodes[index[head]]), g.blocks[c][0]] = i
-        rows: list[dict] = [{} for _ in nodes]  # heads and tails are nodes, so an id names one
+        appended: dict[tuple[int, str], int] = {}  # (id of x', letter g) -> index of x'.g
+        for i, x in enumerate(paths):
+            for c, head, g in _one_letter_cuts(sk, x):
+                cuts[i, c] = index[head], g
+                appended[id(paths[index[head]]), g] = i
+        rows: list[dict] = [{} for _ in paths]  # heads and tails are elements, so an id names one
         boxes: dict = {}  # per degree d: each m < d, in `degree_box` order, with a c where m_c < d_c
-        for i in sorted(range(len(nodes)), key=lambda i: nodes[i].degree.total):
-            x, d = nodes[i], nodes[i].degree.coords
+        for i in sorted(range(len(paths)), key=lambda i: paths[i].degree.total):
+            x, d = paths[i], paths[i].degree.coords
             if d not in boxes:
                 boxes[d] = [(m.coords, next(c for c, (a, b) in enumerate(zip(m.coords, d)) if a < b))
                             for m in degree_box(x.degree) if m.coords != d]
             for m, c in boxes[d]:
                 j, g = cuts[i, c]
-                rows[i][m] = rows[j][m][0], nodes[appended[id(rows[j][m][1]), g]]
-            rows[i][d] = x, nodes[index[pth.vertex_path(sk, pth.source(sk, x))]]
-        return tuple(rows[: len(self.elements)])
+                rows[i][m] = rows[j][m][0], paths[appended[id(rows[j][m][1]), g]]
+            rows[i][d] = x, paths[index[pth.vertex_path(sk, pth.source(sk, x))]]
+        return tuple(rows)
 
     @cached_property
     def index_of_factors(self) -> dict[tuple[Path, Path], int]:
@@ -269,15 +289,21 @@ class FinitePathSpace:
         return out
 
     @property
+    def boundary_only(self) -> bool:
+        return self.parent is not None
+
+    @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
     def obligations(self, y: Path) -> list[tuple[tuple[Path, ...], Path | None]]:
         """(members, first member that is a prefix of y, or None) per minimal exhaustive
         set at r(y), in order, up to the first None; kept per element, the sets per vertex."""
+        if self.parent is not None:
+            return self.parent.obligations(y)
         if (i := self.index_of(y)) not in self._obligations:
             if y.range not in self._sets:
-                self._sets[y.range] = minimal_exhaustive_sets(self.skeleton, y.range)
+                self._sets[y.range] = minimal_exhaustive_sets(self.skeleton, y.range, self)
             row, found = self.factors[i], self._obligations.setdefault(i, [])
             for ex_set in self._sets[y.range]:
                 prefixes = (p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] == p)
@@ -285,6 +311,14 @@ class FinitePathSpace:
                 if found[-1][1] is None:
                     break
         return self._obligations[i]
+
+
+def _one_letter_cuts(sk: Skeleton, x: Path):
+    """(c, x', g) per color c of x, where x = x'.g and g is x's last color-c letter."""
+    d = x.degree.coords
+    for c in (c for c, n in enumerate(d) if n):
+        head, tail = pth.factorize(sk, x, Degree(d[:c] + (d[c] - 1,) + d[c + 1 :]))
+        yield c, head, tail.blocks[c][0]
 
 
 def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
@@ -315,6 +349,13 @@ def prepend(sk: Skeleton, lam: Path, x: PathSpaceElement) -> PathSpaceElement:
     return PathSpaceElement(combined)
 
 
+def _json(memo: dict, p: Path | tuple[Path, ...]):
+    """The JSON of a path or paths, once per `memo` (id -> (object, JSON))."""
+    if id(p) not in memo:
+        memo[id(p)] = p, [_json(memo, q) for q in p] if isinstance(p, tuple) else p.to_json()
+    return memo[id(p)][1]
+
+
 @dataclass(frozen=True)
 class BoundaryEntry:
     """One (position, exhaustive set) obligation and how it was settled."""
@@ -325,17 +366,12 @@ class BoundaryEntry:
     witness: Path | None
 
     def to_json(self, memo: dict) -> dict:
-        """Serialize; a shared `memo` (id -> (object, JSON)) converts each object once."""
-        if id(self.members) not in memo:
-            memo[id(self.members)] = self.members, [p.to_json() for p in self.members]
-        if id(self.witness) not in memo:
-            witness = None if self.witness is None else self.witness.to_json()
-            memo[id(self.witness)] = self.witness, witness
+        """Serialize; a shared `memo` converts each member list, member and witness once."""
         return {
             "at": list(self.at.coords),
             "vertex": self.vertex,
-            "set": memo[id(self.members)][1],
-            "witness": memo[id(self.witness)][1],
+            "set": _json(memo, self.members),
+            "witness": None if self.witness is None else _json(memo, self.witness),
         }
 
 
@@ -386,14 +422,14 @@ def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
         raise ExactModeError("boundary paths are only decidable in exact mode")
     sk = space.skeleton
     kept = [el for el in space.elements if not sk.edges_by_range[pth.source(sk, el.path)]]
-    return FinitePathSpace(sk, "exact", kept, boundary_only=True)
+    return FinitePathSpace(sk, "exact", kept, parent=space)
 
 
 def boundary_report(space: FinitePathSpace) -> dict:
     """Serializable boundary listing with certificates and vertex classes."""
-    memo: dict = {}  # each member list and witness is converted once, shared by its entries
+    memo: dict = {}  # each prefix, member list and witness is converted once, and shared
     members = [
-        {"element": el.to_json(row), "boundary": verdict, "certificate": cert.to_json(memo)}
+        {"element": el.to_json(row, memo), "boundary": verdict, "certificate": cert.to_json(memo)}
         for el, row in zip(space.elements, space.factors)
         for verdict, cert in [is_boundary(space, el)]
     ]

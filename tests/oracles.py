@@ -744,8 +744,9 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
 # over all subsets of a vertex's paths, and every tail split afresh.  The
 # references for the transversal search, the factor-table reads of
 # `is_boundary` and the source rule of `boundary_paths`; and the transversal
-# search rescanning every row per chosen member, the reference for its
-# per-row counts on stars.
+# search rescanning every row per chosen member with prefixes from
+# `factorize`, the reference for its per-row counts on stars and for its
+# rows, read from the factorization table or built from one-letter cuts.
 
 
 def subset_search_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
@@ -771,7 +772,8 @@ def rescan_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
 
     Each choice re-checks every chosen member against all maximal paths
     (O(n^3) on an n-leaf star) instead of keeping per-row counts of the
-    chosen members.
+    chosen members, and each row derives its prefixes with one `factorize`
+    per (maximal path, m <= its degree) instead of reading the table.
     """
     pool = pth.paths_with_range(sk, vertex_id)
     index = {p: i for i, p in enumerate(pool)}
@@ -827,7 +829,7 @@ def filtered_boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     """The elements `segment_is_boundary` accepts."""
     cache: dict = {}
     kept = [el for el in space.elements if segment_is_boundary(space, el, cache)[0]]
-    return FinitePathSpace(space.skeleton, "exact", kept, boundary_only=True)
+    return FinitePathSpace(space.skeleton, "exact", kept, parent=space)
 
 
 def subset_search_boundary_report(space: FinitePathSpace) -> dict:

@@ -1,11 +1,13 @@
 """Boundary membership without the subset search, against the search.
 
-`minimal_exhaustive_sets` (minimal transversals of the maximal paths),
-`is_boundary` (reading the factorization table) and `boundary_paths` (the
-source rule) are checked against the subset search, the `segment`-based
-membership test and the `is_boundary` filter kept in `oracles.py`.  The
-transversal search is also checked against its rescanning form on the same
-instances and on stars, whose one all-edges set is the deep case.
+`minimal_exhaustive_sets` (minimal transversals of the maximal paths, read
+from the factorization table or built from one-letter cuts), `is_boundary`
+(reading the table) and `boundary_paths` (the source rule) are checked
+against the subset search, the `segment`-based membership test and the
+`is_boundary` filter kept in `oracles.py`.  The transversal search is also
+checked against its rescanning form, which derives each prefix with
+`factorize`, on the same instances, on stars (whose one all-edges set is
+the deep case) and on random exact spaces.
 """
 
 from __future__ import annotations
@@ -14,11 +16,18 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given
 
 import kgraphs as kg
+from kgraphs import paths as pth
+from kgraphs.cli import main
 from kgraphs.skeleton import Degree
 
 import oracles as orc
+from conftest import line_document
+from test_full_groupoid import path_spaces
+from test_validate_properties import examples
+from test_verify_digests import tree_document
 
 
 def tree(rng: random.Random, size: int) -> kg.Skeleton:
@@ -205,12 +214,64 @@ def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, 
     calls = []
     search = kg.boundary.minimal_exhaustive_sets
 
-    def spy(sk, vertex_id):
+    def spy(sk, vertex_id, *space):
         calls.append(vertex_id)
-        return search(sk, vertex_id)
+        return search(sk, vertex_id, *space)
 
     monkeypatch.setattr(kg.boundary, "minimal_exhaustive_sets", spy)
     report = kg.boundary.boundary_report(space)
     for _ in range(3):
         assert [kg.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
     assert sorted(calls) == sorted({el.path.range for el in space})
+
+
+@examples(60)
+@given(path_spaces())
+def test_table_read_sets_equal_the_rescan_and_a_restriction_reads_its_parent(space):
+    """Exact spaces: each vertex's sets from the table, and from one-letter cuts without
+    a space, equal the per-prefix `factorize` rescan, and a boundary restriction gives
+    each kept element the same certificate."""
+    assume(space.is_exact)
+    sk = space.skeleton
+    for v in sk.vertices:
+        want = orc.rescan_minimal_exhaustive_sets(sk, v.id)
+        assert kg.minimal_exhaustive_sets(sk, v.id, space) == want, v.id
+        assert kg.minimal_exhaustive_sets(sk, v.id) == want, v.id
+    restricted = kg.boundary_paths(space)
+    for el in restricted:
+        assert kg.is_boundary(restricted, el) == kg.is_boundary(space, el)
+
+
+def spy_on(monkeypatch, *names):
+    """Replace these `paths` functions by ones that log (name, args) and call through."""
+    calls = []
+    for name in names:
+        original = getattr(pth, name)
+        monkeypatch.setattr(pth, name, lambda *a, f=original, n=name: calls.append((n, a)) or f(*a))
+    return calls
+
+
+def test_the_boundary_command_on_a_tree_factorizes_only_for_the_table(tmp_path, monkeypatch):
+    """The exhaustive sets come from the table: no path walk, and one `factorize` per edge
+    path (its one-letter cut at rank 1), none per prefix."""
+    doc = tree_document(5, 13)
+    instance, out = tmp_path / "tree.json", tmp_path / "report.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    calls = spy_on(monkeypatch, "factorize", "paths_with_range")
+    assert main(["boundary", str(instance), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["boundary_size"] > 0
+    edge_paths = sum(1 for e in report["elements"] if e["element"]["degree"] != [0])
+    assert [n for n, _ in calls] == ["factorize"] * edge_paths
+
+
+def test_the_sets_at_a_vertex_without_a_space_walk_only_its_paths(monkeypatch):
+    """On a 199-edge line, the sets at the top vertex read its 200 paths, one `factorize`
+    each, and build no table over the 20,100 paths it reaches."""
+    sk = kg.load_skeleton(line_document(199))
+    want = orc.rescan_minimal_exhaustive_sets(sk, "v0")
+    calls = spy_on(monkeypatch, "factorize", "paths_with_range")
+    monkeypatch.setattr(kg.FinitePathSpace, "factors", property(lambda _: pytest.fail("a table")))
+    assert kg.minimal_exhaustive_sets(sk, "v0") == want
+    assert len(want) == 200
+    assert [n for n, _ in calls] == ["paths_with_range"] + ["factorize"] * 199

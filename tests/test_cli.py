@@ -224,6 +224,35 @@ def test_exhaustive_unknown_vertex_is_a_usage_error(capsys):
     assert err == "error: unknown vertex 'nope'\n"
 
 
+# A loop l at u, and e from w to v: v and w reach no cycle, u does.
+CYCLIC = {
+    "rank": 1,
+    "vertices": [{"id": "u"}, {"id": "v"}, {"id": "w"}],
+    "edges": [
+        {"id": "l", "color": 1, "range": "u", "source": "u"},
+        {"id": "e", "color": 1, "range": "v", "source": "w"},
+    ],
+}
+
+
+def test_exhaustive_minimal_on_a_cyclic_skeleton_answers_where_the_paths_are_finite(capsys, tmp_path):
+    instance = tmp_path / "cyclic.json"
+    instance.write_text(json.dumps(CYCLIC), encoding="utf-8")
+    code, out, err = run(capsys, "exhaustive", str(instance), "--vertex", "v", "--minimal")
+    assert (code, err) == (0, "")
+    e, v = {"blocks": [["e"]], "range": "v"}, {"blocks": [[]], "range": "v"}
+    assert json.loads(out)["minimal_exhaustive_sets"] == [[e], [v]]
+    assert out == (
+        '{\n  "minimal_exhaustive_sets": [\n    [\n      {\n        "blocks": [\n          [\n'
+        '            "e"\n          ]\n        ],\n        "range": "v"\n      }\n    ],\n'
+        '    [\n      {\n        "blocks": [\n          []\n        ],\n        "range": "v"\n'
+        '      }\n    ]\n  ],\n  "vertex": "v"\n}\n'
+    )
+    code, out, err = run(capsys, "exhaustive", str(instance), "--vertex", "u", "--minimal")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: vertex 'u' reaches a cycle")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
