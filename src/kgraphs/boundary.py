@@ -1,11 +1,13 @@
 """Exhaustive sets, vertex classification, the path space and its boundary.
 
 In exact mode (acyclic skeleton) the path space is the finite set of all
-paths, and exhaustiveness and boundary membership reduce to maximal paths
-(`minimal_exhaustive_sets`, `boundary_paths`).  On cyclic skeletons only a
-truncated view is available: elements are prefix classes up to a degree
-bound, with per-color markers recording whether extensions continue past the
-bound or run forever (read off `Skeleton.cycle_colors`).
+paths, and a set is exhaustive at v iff it holds a prefix of every maximal
+path at v, the one rule of `is_exhaustive`, `minimal_exhaustive_sets` and
+the boundary certificates (`_prefix_rows`); only a bounded `is_exhaustive`
+sweeps paths pairwise, as its paths may have no maximal extension.  On
+cyclic skeletons only a truncated view is available: elements are prefix
+classes up to a degree bound, with per-color markers recording whether
+extensions continue past the bound or run forever (`Skeleton.cycle_colors`).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
 splits, built on first use from one-letter splits (`factors`,
@@ -73,52 +75,35 @@ def is_exhaustive(
 ) -> ExhaustivenessResult:
     """Decide whether the member paths are exhaustive at the vertex.
 
-    Without a bound every path ranged at the vertex is checked, which
-    requires that set to be finite.  With a bound, only paths of degree
-    <= bound are checked: a failure witness is always definitive, but a
-    clean sweep is reported as "unknown": compatibility of the checked
-    prefixes says nothing about longer paths.
+    Without a bound the paths at the vertex must be finite, and the witness
+    is the first of them in no `_prefix_rows` row holding a member (the rule
+    of `minimal_exhaustive_sets`).  With a bound, where paths may be
+    infinite, each path of degree <= bound is swept against the members with
+    `minimal_extension_pairs`: a witness is definitive, but a clean sweep is
+    "unknown", as the checked prefixes say nothing about longer paths.
     """
-    members = list(members)
+    members = dict.fromkeys(members)  # in order, with a hashed membership test
     for m in members:
         if m.range != vertex_id:
             raise ValueError(f"member ranges at {m.range!r}, not {vertex_id!r}")
     if bound is None:
-        candidates = pth.paths_with_range(sk, vertex_id)
-    else:
-        candidates = [
-            p for n in degree_box(bound) for p in pth.paths_from(sk, vertex_id, n)
-        ]
+        pool, rows = _prefix_rows(sk, vertex_id)
+        covered = {i for row in rows if any(pool[i] in members for i in row) for i in row}
+        witness = next((p for i, p in enumerate(pool) if i not in covered), None)
+        return ExhaustivenessResult("exhaustive" if witness is None else "not_exhaustive", witness)
+    candidates = [
+        p for n in degree_box(bound) for p in pth.paths_from(sk, vertex_id, n)
+    ]
     for lam in candidates:
         if not any(pth.minimal_extension_pairs(sk, lam, mu) for mu in members):
             return ExhaustivenessResult("not_exhaustive", witness=lam, bound=bound)
-    if bound is None:
-        return ExhaustivenessResult("exhaustive")
     return ExhaustivenessResult("unknown", bound=bound)
 
 
-def minimal_exhaustive_sets(
-    sk: Skeleton, vertex_id: str, space: FinitePathSpace | None = None
-) -> tuple[ExhaustiveSet, ...]:
-    """All inclusion-minimal exhaustive subsets of the paths at a vertex.
-
-    Monotonicity (supersets of exhaustive sets are exhaustive) means these
-    suffice for boundary checking.  The paths at the vertex are finite and
-    acyclic, so each extends to a maximal path (its source receives no
-    edge), and a path shares an extension with a maximal path only as its
-    prefix.  So a set is exhaustive iff it holds a prefix of every maximal
-    path: the minimal ones are the minimal transversals of the maximal
-    paths' prefix sets.  An exact `space` that holds the paths at the
-    vertex gives the pool (`by_range`) and each path's prefixes (the heads
-    in its row of `factors`); without one, the pool is `paths_with_range`
-    and a path's prefixes are itself and those of its `_one_letter_cuts`.
-    Branch on the first maximal path not yet hit, bar each member from its
-    later sibling branches, and drop a choice that leaves a chosen member
-    hitting no maximal path alone; list by (size, pool indices), the order
-    of a smallest-first search over subsets.  Each branch keeps, per
-    maximal path, the number of chosen members it holds, so a choice is
-    checked against the rows of the chosen members only.
-    """
+def _prefix_rows(sk: Skeleton, vertex_id: str, space: FinitePathSpace | None = None):
+    """The paths at a finite vertex, and per maximal path the indices of its prefixes: the
+    heads of its row of `factors` in an exact `space` that holds them (`by_range`), else
+    itself and the prefixes of its `_one_letter_cuts` among `paths_with_range`."""
     if space is None:
         pool = pth.paths_with_range(sk, vertex_id)
         at = {p: i for i, p in enumerate(pool)}
@@ -135,6 +120,28 @@ def minimal_exhaustive_sets(
         for i, g in enumerate(pool)
         if not sk.edges_by_range[pth.source(sk, g)]
     ]
+    return pool, rows
+
+
+def minimal_exhaustive_sets(
+    sk: Skeleton, vertex_id: str, space: FinitePathSpace | None = None
+) -> tuple[ExhaustiveSet, ...]:
+    """All inclusion-minimal exhaustive subsets of the paths at a vertex.
+
+    Monotonicity (supersets of exhaustive sets are exhaustive) means these
+    suffice for boundary checking.  The paths at the vertex are finite and
+    acyclic, so each extends to a maximal path (its source receives no
+    edge), and a path shares an extension with a maximal path only as its
+    prefix.  So a set is exhaustive iff it holds a prefix of every maximal
+    path: the minimal ones are the minimal transversals of the maximal
+    paths' prefix sets (`_prefix_rows`).  Branch on the first maximal path
+    not yet hit, bar each member from its later sibling branches, and drop
+    a choice that leaves a chosen member hitting no maximal path alone;
+    list by (size, pool indices), the order of a smallest-first search over
+    subsets.  Each branch counts per maximal path the chosen members it
+    holds, so a choice is checked against the chosen members' rows alone.
+    """
+    pool, rows = _prefix_rows(sk, vertex_id, space)
     bits = [sum(1 << i for i in row) for row in rows]
     holding: list[list[int]] = [[] for _ in pool]  # per pool index, the rows holding it
     for r, row in enumerate(rows):
@@ -287,10 +294,6 @@ class FinitePathSpace:
         for i, el in enumerate(self.elements):
             out.setdefault(el.path.range, []).append(i)
         return out
-
-    @property
-    def boundary_only(self) -> bool:
-        return self.parent is not None
 
     @property
     def is_exact(self) -> bool:

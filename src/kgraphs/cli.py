@@ -124,7 +124,7 @@ def _load_valid(args: argparse.Namespace) -> Skeleton | None:
 
 def _parse_path(sk: Skeleton, text: str) -> pth.Path:
     """A path literal: a vertex id, or comma-separated edge ids."""
-    if text in sk.vertex_ids:
+    if (text := text.strip()) in sk.vertex_ids:
         return pth.vertex_path(sk, text)
     word = [tok.strip() for tok in text.split(",")]
     for tok in word:

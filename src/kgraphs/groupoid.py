@@ -176,7 +176,7 @@ def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
 
 def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     """The path groupoid restricted to boundary elements."""
-    restricted = space if space.boundary_only else boundary_paths(space)
+    restricted = space if space.parent is not None else boundary_paths(space)
     return build_path_groupoid(restricted)
 
 

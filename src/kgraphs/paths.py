@@ -209,14 +209,11 @@ def minimal_extension_pairs(sk: Skeleton, a: Path, b: Path) -> tuple[MinimalExte
     top = a.degree.join(b.degree)
     alphas = paths_from(sk, source(sk, a), top - a.degree)
     betas = paths_from(sk, source(sk, b), top - b.degree)
-    left = {alpha: compose(sk, a, alpha) for alpha in alphas}
-    right = {beta: compose(sk, b, beta) for beta in betas}
-    pairs = [
-        MinimalExtensionPair(alpha, beta)
-        for alpha in alphas
-        for beta in betas
-        if left[alpha] == right[beta]
-    ]
+    left = [(alpha, compose(sk, a, alpha)) for alpha in alphas]
+    right: dict[Path, list[Path]] = {}  # b.beta -> the betas
+    for beta in betas:
+        right.setdefault(compose(sk, b, beta), []).append(beta)
+    pairs = [MinimalExtensionPair(alpha, beta) for alpha, ab in left for beta in right.get(ab, ())]
     pairs.sort(key=lambda p: (path_sort_key(p.alpha), path_sort_key(p.beta)))
     return tuple(pairs)
 

@@ -30,10 +30,12 @@ The sampled-suite oracles at the very end draw and check one sample at a
 time through the one-element operations, instead of stacking each chunk of
 samples into rows.
 
-The boundary oracles search every subset of a vertex's paths against the
+The boundary oracles test every path at a vertex against every member for
+exhaustiveness, search every subset of a vertex's paths against the
 pairwise compatibility of `minimal_extension_pairs`, and split paths with
 `vertex_at` / `segment`, instead of reading maximal paths, sources and the
-factorization table.
+factorization table.  The pairwise `minimal_extension_pairs` compares every
+(alpha, beta) pair instead of looking each a.alpha up among the b.beta.
 
 The per-element reference layer before the sampled suites moved here from
 `kgraphs` unchanged, once no command or check called it: `segment`,
@@ -87,6 +89,7 @@ from kgraphs.boundary import (
     BoundaryCertificate,
     BoundaryEntry,
     ExhaustiveSet,
+    ExhaustivenessResult,
     FinitePathSpace,
     PathSpaceElement,
     classify_vertices,
@@ -359,6 +362,25 @@ def brute_minimal_extension_pairs(
             if same_path(sk, tuple(word_a) + wa, tuple(word_b) + wb):
                 found.add((ca, cb))
     return found
+
+
+def pairwise_minimal_extension_pairs(sk: Skeleton, a: Path, b: Path):
+    """`minimal_extension_pairs` comparing a.alpha with b.beta for every (alpha, beta)."""
+    if a.range != b.range:
+        return ()
+    top = a.degree.join(b.degree)
+    alphas = pth.paths_from(sk, source(sk, a), top - a.degree)
+    betas = pth.paths_from(sk, source(sk, b), top - b.degree)
+    left = {alpha: compose(sk, a, alpha) for alpha in alphas}
+    right = {beta: compose(sk, b, beta) for beta in betas}
+    pairs = [
+        pth.MinimalExtensionPair(alpha, beta)
+        for alpha in alphas
+        for beta in betas
+        if left[alpha] == right[beta]
+    ]
+    pairs.sort(key=lambda p: (pth.path_sort_key(p.alpha), pth.path_sort_key(p.beta)))
+    return tuple(pairs)
 
 
 # Rank-1 graphs: words are already canonical, so path machinery reduces to
@@ -740,13 +762,37 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
     return CylinderSet(lam, mu, tuple(sorted(members)))
 
 
-# Boundary membership by the definition: minimal exhaustive sets by a search
-# over all subsets of a vertex's paths, and every tail split afresh.  The
-# references for the transversal search, the factor-table reads of
-# `is_boundary` and the source rule of `boundary_paths`; and the transversal
+# Exhaustiveness by the definition: every path at the vertex tested against
+# every member for a common extension, the reference for the prefix-row rule
+# of `is_exhaustive`.  Boundary membership by the definition: minimal
+# exhaustive sets by a search over all subsets of a vertex's paths, and every
+# tail split afresh.  The references for the transversal search, the
+# factor-table reads of `is_boundary` and the source rule of
+# `boundary_paths`; and the transversal
 # search rescanning every row per chosen member with prefixes from
 # `factorize`, the reference for its per-row counts on stars and for its
 # rows, read from the factorization table or built from one-letter cuts.
+
+
+def sweep_is_exhaustive(sk: Skeleton, vertex_id: str, members, bound: Degree | None = None):
+    """`is_exhaustive` testing every path at the vertex (of degree <= bound, if one is
+    given) against every member with `minimal_extension_pairs`, with no bound too."""
+    members = list(members)
+    for m in members:
+        if m.range != vertex_id:
+            raise ValueError(f"member ranges at {m.range!r}, not {vertex_id!r}")
+    if bound is None:
+        candidates = pth.paths_with_range(sk, vertex_id)
+    else:
+        candidates = [
+            p for n in degree_box(bound) for p in pth.paths_from(sk, vertex_id, n)
+        ]
+    for lam in candidates:
+        if not any(pth.minimal_extension_pairs(sk, lam, mu) for mu in members):
+            return ExhaustivenessResult("not_exhaustive", witness=lam, bound=bound)
+    if bound is None:
+        return ExhaustivenessResult("exhaustive")
+    return ExhaustivenessResult("unknown", bound=bound)
 
 
 def subset_search_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):

@@ -278,7 +278,7 @@ def test_boundary_set_two_vertex(instance_b):
         kg.edge_path(instance_b, "e"),
         kg.vertex_path(instance_b, "w"),
     }
-    assert bp.boundary_only
+    assert bp.parent is not None
 
 
 def test_boundary_set_edgeless(edgeless):

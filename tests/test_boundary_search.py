@@ -146,7 +146,7 @@ def check_against_the_subset_search(sk: kg.Skeleton) -> None:
     sources = set(kg.classify_vertices(sk).sources)
     by_source_rule = [el for el in space if kg.source(sk, el.path) in sources]
     assert got.elements == orc.filtered_boundary_paths(space).elements == tuple(by_source_rule)
-    assert got.boundary_only and got.is_exact
+    assert got.parent is not None and got.is_exact
     for el in space:
         assert kg.is_boundary(space, el.path) == kg.is_boundary(space, el)
 

@@ -90,6 +90,17 @@ def test_exhaustive_command_membership_check(capsys):
     assert json.loads(out)["status"] == "not_exhaustive"
 
 
+def test_path_literals_may_carry_spaces(capsys):
+    """A vertex literal is stripped before the lookup, as each edge token is."""
+    b = str(instance_path("b"))
+    code, out, err = run(capsys, "exhaustive", b, "--vertex", "v", "--members", "e; v")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "exhaustive"
+    code, out, err = run(capsys, "lambda-min", b, "--left", " v", "--right", "e")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["left"] == {"blocks": [[]], "range": "v"}
+
+
 def test_boundary_command_two_vertex(capsys):
     code, out, _ = run(capsys, "boundary", str(instance_path("b")))
     assert code == 0

@@ -190,7 +190,7 @@ MUTANTS = {
     # On a boundary groupoid the words end in source vertices, whose paths are all length 0.
     "doubled-long-units": (
         doubled_long_units,
-        lambda G: not G.space.boundary_only and len(vertex_units(G)) < len(G.unit_index),
+        lambda G: G.space.parent is None and len(vertex_units(G)) < len(G.unit_index),
     ),
 }
 # Twin tails need parallel paths, which the smallest instances lack.

@@ -259,6 +259,30 @@ def test_extension_pairs_match_word_oracle(name, bound, request):
             assert got == expected
 
 
+def test_extension_pairs_by_a_join_equal_the_pairwise_comparison():
+    """Looking each a.alpha up among the b.beta gives the pairs, or the `ValueError`, of
+    comparing every (alpha, beta), on every ordered pair of degree <= (1, ..., 1)."""
+    skeletons = [load_instance(name) for name in "abcde"]
+    skeletons += [kg.grid_skeleton(len(s), Degree(s)).skeleton for s in ((2, 2), (1, 1, 1), (3, 2))]
+    skeletons.append(kg.load_skeleton(line_document(5)))
+
+    def outcome(find, sk, a, b):
+        try:
+            return find(sk, a, b)
+        except ValueError as err:
+            return str(err)
+
+    seen, failures = 0, 0
+    for sk in skeletons:
+        pool = paths_up_to(sk, Degree((1,) * sk.rank))
+        for a in pool:
+            for b in pool:
+                got = outcome(kg.minimal_extension_pairs, sk, a, b)
+                assert got == outcome(orc.pairwise_minimal_extension_pairs, sk, a, b), (a, b)
+                seen, failures = seen + 1, failures + isinstance(got, str)
+    assert (seen, failures) == (2850, 8)
+
+
 @pytest.mark.parametrize("name", ["b", "e"])
 def test_rank_one_graphs_have_at_most_one_pair(name, request):
     sk = request.getfixturevalue(f"instance_{name}")
