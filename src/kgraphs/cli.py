@@ -13,15 +13,8 @@ Every subcommand takes an instance file and only the options it reads:
 
 Any other option is a usage error.  Exit codes: 0 all checks passed, 1 a
 validation or verification failed, 2 usage or I/O trouble.  JSON output is
-deterministic for a fixed (instance, options, seed) triple.
-
-A JSON report holds the bytes of `json.dumps(report, sort_keys=True,
-indent=2)` plus a newline.  CPython runs its C encoder only without
-`indent`, so a report whose compact text is longer than one block is
-encoded compactly in C and re-indented by `kgraphs.indent`, block by block,
-as it is written; a shorter one goes through `json.dumps` itself.  Either
-way the report is encoded before `--out` is opened, so a payload that cannot
-be encoded leaves no file.
+deterministic for a fixed (instance, options, seed) triple; `kgraphs.indent`
+tells how it is written.
 """
 
 from __future__ import annotations
@@ -82,7 +75,7 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circular=False)
 # Characters of compact text re-indented at a time (see `indent`).
 _BLOCK = 16 * 1024
 
@@ -91,7 +84,8 @@ def _json_chunks(payload) -> Iterable[str]:
     """`json.dumps(payload, sort_keys=True, indent=2) + "\n"`, in pieces.
 
     The payload is encoded here, not as the pieces are read, so it raises
-    what `json.dumps` raises before anything is written.
+    before anything is written: what `json.dumps` raises, or
+    `RecursionError` for a circular payload.
     """
     compact = _COMPACT.encode(payload)
     if len(compact) <= _BLOCK:

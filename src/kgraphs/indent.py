@@ -1,11 +1,20 @@
 """Indent compact JSON text as `json.dumps(..., indent=2)` does, with numpy.
 
-CPython runs its C encoder only when `indent` is None.  `indent_blocks`
-takes the C encoder's output with separators "," and ": " and yields, block
-by block, the bytes the pure-Python encoder writes with `indent=2`: outside
-string literals a newline and two spaces per level go after each comma and
-each opener of a non-empty container, and before each closer of one; `[]`
-and `{}` stay as they are.
+A JSON report of `kgraphs.cli` holds the bytes of `json.dumps(report,
+sort_keys=True, indent=2)` plus a newline.  CPython runs its C encoder only
+without `indent`, so a report whose compact text is longer than one block is
+encoded compactly in C and re-indented here, block by block, as it is
+written; a shorter one goes through `json.dumps` itself.  Either way the
+report is encoded before `--out` is opened, so a payload that cannot be
+encoded leaves no file.  The compact encoder skips the cycle check: every
+report is a fresh tree of `to_json` output (shared sub-objects, never a
+cycle), and a circular payload raises `RecursionError`.
+
+`indent_blocks` takes the C encoder's output with separators "," and ": "
+and yields, block by block, the bytes the pure-Python encoder writes with
+`indent=2`: outside string literals a newline and two spaces per level go
+after each comma and each opener of a non-empty container, and before each
+closer of one; `[]` and `{}` stay as they are.
 
 The text is ASCII (`ensure_ascii`), and a quote delimits a literal unless a
 backslash escapes it: with backslash pairs blanked first, a backslash left
@@ -14,6 +23,12 @@ escape carry from block to block, and the character after a block tells
 whether a closer follows it.  Index arrays over a whole report are
 allocated outside Python's arenas: one pass per report raised the peak RSS
 of the `tree-grid-torus` benchmark from 47.4 to 59.2 MB, hence the blocks.
+
+Per block, the bracket steps are masked by a multiply with the outside-literal
+flags, the depth and the output offsets are int32 running sums (`np.cumsum`
+widens to int64 by default), and the width of each character's output (1, or
+2 plus the indent after a break) is formed in place in the depth array, so a
+block allocates few temporaries beside its output.
 """
 
 from __future__ import annotations
@@ -36,19 +51,30 @@ def indent_blocks(compact: str, block: int) -> Iterator[str]:
         c = np.frombuffer(masked, np.uint8)
         delimiter = c == ord('"')
         delimiter[1:] &= c[:-1] != ord("\\")
-        inside = np.logical_xor.accumulate(delimiter) ^ quoted
-        step = np.where(inside, 0, np.frombuffer(masked.translate(_NESTING), np.int8))
-        level = np.cumsum(step, dtype=np.int32) + depth
-        depth, quoted = int(level[-1]), bool(inside[-1])
-        closes_next = np.empty_like(inside)
+        outside = np.logical_xor.accumulate(delimiter)
+        if not quoted:
+            np.logical_not(outside, out=outside)
+        step = np.frombuffer(masked.translate(_NESTING), np.int8) * outside
+        level = np.cumsum(step, dtype=np.int32)
+        level += depth
+        depth, quoted = int(level[-1]), not outside[-1]
+        closes_next = np.empty_like(outside)
         closes_next[:-1] = step[1:] < 0
         after = compact[start + block : start + block + 1]
         closes_next[-1] = after in ("]", "}") and not quoted
-        breaks = ((c == ord(",")) & ~inside) | ((step > 0) ^ closes_next)
-        inserted = np.where(breaks, 1 + 2 * (level - closes_next), 0)
-        at = np.arange(len(c), dtype=np.int32) + np.cumsum(inserted) - inserted
-        out = np.full(len(c) + int(inserted.sum()), ord(" "), np.uint8)
+        breaks = c == ord(",")
+        breaks &= outside
+        breaks |= (step > 0) ^ closes_next
+        width = level  # in place: 1, or 2 + 2 * indent after a break
+        width -= closes_next
+        width *= 2
+        width += 1
+        width *= breaks
+        width += 1
+        at = np.cumsum(width, dtype=np.int32)
+        out = np.full(int(at[-1]), ord(" "), np.uint8)
+        at -= width
         out[at] = np.frombuffer(raw, np.uint8)
-        out[at[breaks] + 1] = ord("\n")
+        out[np.compress(breaks, at) + 1] = ord("\n")
         yield out.tobytes().decode("ascii")
     yield "\n"

@@ -5,8 +5,11 @@ re-indented block by block (`indent.indent_blocks`).  Generated values stress th
 string masking (structural characters, quotes after runs of backslashes,
 non-ASCII and control characters), the special floats and the nesting, at
 block sizes small enough that every carry across a block boundary is taken.
-Every tier-1 digest pin is run again at block sizes 1 and 7, since at the
-default size the pinned reports are short enough to go through `json.dumps`.
+The groupoid, verify and validate digest pins and the short boundary pins
+are run again at block sizes 1 and 7, since at the default size most pinned
+reports are short enough to go through `json.dumps`.  Payloads that share one
+list or dict from several places, as `boundary_report`'s memo does, are
+checked too, since the compact encoder skips the cycle check.
 
 The property runs are derandomized and keep no example database, so tier-1
 sees the same examples every time.
@@ -25,6 +28,7 @@ from kgraphs import cli
 from kgraphs.indent import indent_blocks
 
 from conftest import instance_path
+import test_boundary_digests as boundary_pins
 import test_groupoid_digests as groupoid_pins
 import test_validate_digests as validate_pins
 import test_verify_digests as verify_pins
@@ -81,6 +85,48 @@ def test_reindented_compact_text_equals_json_dumps(value):
         assert "".join(indent_blocks(compact, block)) == want, block
 
 
+def shared_in(container, depths, key):
+    """A payload referencing `container` at each depth, once keyed and once listed."""
+    return {
+        "keyed": {f"{key}{i}": deep(d, container) for i, d in enumerate(depths)},
+        "listed": [deep(d, container) for d in depths],
+    }
+
+
+small_values = st.recursive(scalars, nested, max_leaves=5)
+shared_payloads = st.builds(
+    shared_in,
+    st.lists(small_values, max_size=3) | st.dictionaries(texts, small_values, max_size=3),
+    st.lists(st.integers(0, 6), min_size=2, max_size=3),
+    texts,
+)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(shared_payloads)
+def test_a_payload_sharing_one_container_equals_json_dumps(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    compact = cli._COMPACT.encode(payload)
+    for block in BLOCKS:
+        assert "".join(indent_blocks(compact, block)) == want, block
+
+
+@pytest.mark.parametrize("size", [1, 9000], ids=["short", "past-a-block"])
+def test_a_circular_report_raises_and_writes_no_file(tmp_path, size):
+    payload = {"elements": list(range(size))}
+    payload["elements"].append(payload)
+    out = tmp_path / "report.json"
+    with pytest.raises(RecursionError):
+        cli._emit(argparse.Namespace(out=str(out), format="json"), payload)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload",
     [{"elements": list(range(9000)), 1: "mixed key types"}, {"a": {0, 1}}, {"b": [[]] * 9000 + [{1, 2}]}],
@@ -110,6 +156,13 @@ def test_stdout_gets_the_bytes_of_out(tmp_path, capsys, monkeypatch):
 def test_groupoid_pins_hold_in_small_blocks(tmp_path, capsys, monkeypatch, block, name):
     monkeypatch.setattr(cli, "_BLOCK", block)
     groupoid_pins.test_groupoid_report_bytes_are_pinned(tmp_path, capsys, name)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("name", boundary_pins.SHORT)
+def test_boundary_pins_hold_in_small_blocks(tmp_path, capsys, monkeypatch, block, name):
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    boundary_pins.test_boundary_report_bytes_are_pinned(tmp_path, capsys, name)
 
 
 @pytest.mark.parametrize("block", [1, 7])
