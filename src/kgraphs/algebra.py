@@ -38,12 +38,12 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
+from .groupoid import FiniteGroupoid  # compiled before numpy loads: a lower peak RSS
 import numpy as np
 
 from .skeleton import Skeleton
 from .bimodule import EdgeFunction, VertexFunction, rank_one_decomposition
 from .boundary import classify_vertices
-from .groupoid import FiniteGroupoid
 from .paths import source
 
 DEFAULT_TOL = 1e-9
@@ -66,10 +66,9 @@ class IndexArrays:
     """
 
     def __init__(self, G: FiniteGroupoid):
-        self.levels = tuple(sorted({g.m for g in G.elements}))
+        self.levels = tuple(sorted({m for _, m, _ in G.labels}))
         at = {m: j for j, m in enumerate(self.levels)}
-        columns = np.array([(g.x, g.y, at[g.m]) for g in G.elements], dtype=np.intp)
-        self.x, self.y, self.level = columns.reshape(-1, 3).T
+        self.x, self.y, self.level = G.x, G.y, np.array([at[m] for _, m, _ in G.labels], dtype=np.intp)
         rows = list(G.composites())
         known = [row for row in rows if row[2] is not None]
         self.pairs = tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T)
@@ -176,8 +175,8 @@ class AlgebraElement:
     def to_json(self) -> list:
         out = []
         for i, c in self.coefficients.items():
-            g = self.groupoid.elements[i]
-            out.append([g.x, list(g.m), g.y, c.real, c.imag])
+            x, m, y = self.groupoid.labels[i]
+            out.append([x, list(m), y, c.real, c.imag])
         return out
 
 
@@ -267,7 +266,7 @@ def _restriction(G, boundary_G):
     """The elements of G whose endpoints are boundary paths, and their indices in boundary_G."""
     bspace = boundary_G.space
     at = [bspace.index_of(el.path) if el.path in bspace else None for el in G.space.elements]
-    labels = [(at[g.x], g.m, at[g.y]) for g in G.elements]
+    labels = [(at[x], m, at[y]) for x, m, y in G.labels]
     kept = [(i, boundary_G.index_of(x)) for i, x in enumerate(labels) if None not in x]
     return np.array(kept, dtype=np.intp).reshape(-1, 2).T
 
@@ -302,12 +301,12 @@ class RegularRepresentation:
     def __init__(self, G: FiniteGroupoid):
         self.groupoid = G
         fibers: dict[int, list[int]] = {u: [] for u in G.units()}
-        for i, g in enumerate(G.elements):
-            fibers.get(g.y, []).append(i)
+        for i, y in enumerate(G.y.tolist()):
+            fibers.get(y, []).append(i)
         self.bases = {u: tuple(fiber) for u, fiber in fibers.items()}
         self.entries: dict[int, np.ndarray] = {}
         for u, fiber in self.bases.items():
-            if G.is_full and (least := G.elements[fiber[0]].x) < u:
+            if G.is_full and (least := G.labels[fiber[0]][0]) < u:
                 self.entries[u] = self.entries[least]
             else:
                 self.entries[u] = np.array(

@@ -1,33 +1,31 @@
 """The path groupoid of an enumerated path space, and its boundary reduction.
 
-Elements are triples (x, m, y): two space elements whose tails agree after
-shifts differing by m in Z^k.  Finite paths share a tail exactly when they
-share a source, so the elements pair up each source block, m = d(x) - d(y),
-each with its least witnessing shift pair from the path space's (head, tail)
-splits, built by one-letter recursion (`FinitePathSpace.factors`); equality
-ignores witnesses.  Composition is label arithmetic, (x, m, y)(y, n, z) =
-(x, m + n, z), looked up in the label index; `by_range` lists the elements
-that can follow a given one.  Integer addition is associative, so the axiom
-check needs closure (which `is_full` certifies for a built list), units,
-inverses and distinct labels, never a walk over composable triples.  The
-module also verifies, at finite scale, the structure that makes the groupoid
-etale: cylinder sets cover it and the range and source maps are injective on
-each cylinder.
+Elements (x, m, y) pair space elements whose tails agree after shifts m apart:
+for finite paths, a common source.  A source block of n_v elements gives n_v^2
+labels (x, d(x) - d(y), y), held as int arrays `x`, `m` (|G| x k), `y` in label
+order; witnesses (`least_witness`) and element objects are made on first use.
+A hand-built list is sorted into the same arrays and keeps its witnesses.
+Products are label sums, so the axiom check needs closure (`is_full`), units,
+inverses and distinct labels, never triples.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import product
+from itertools import accumulate, product
 from operator import add, sub
-from typing import Iterator
+
+import numpy as np
 
 from .skeleton import Degree, ExactModeError
 from . import paths as pth
 from .paths import Path
 from .boundary import FinitePathSpace, boundary_paths
+
+Label = tuple[int, tuple[int, ...], int]
+
+MAX_ELEMENTS = 10**7  # labels built at most: 8.4 x torus 32, 0.3 GB at rank 2
 
 
 @dataclass(frozen=True)
@@ -39,50 +37,69 @@ class GroupoidElement:
     y: int
     witness: tuple[Degree, Degree] = field(compare=False)
 
-    def label(self) -> tuple[int, tuple[int, ...], int]:
+    def label(self) -> Label:
         return (self.x, self.m, self.y)
 
 
-def composite_label(a: GroupoidElement, b: GroupoidElement) -> tuple[int, tuple[int, ...], int]:
-    """(x, m, y)(y, n, z) = (x, m + n, z), for a composable pair."""
-    return (a.x, tuple(map(add, a.m, b.m)), b.y)
-
-
 class FiniteGroupoid:
-    """An enumerated groupoid over a finite path space."""
+    """An enumerated groupoid over a finite path space: columns x, m, y in label order."""
 
-    def __init__(self, space: FinitePathSpace, elements):
+    def __init__(self, space: FinitePathSpace, elements=(), columns=None):
         self.space = space
-        self.elements: tuple[GroupoidElement, ...] = tuple(
-            sorted(elements, key=lambda g: g.label())
-        )
-        self._index: dict[tuple[int, tuple[int, ...], int], int] = {
-            g.label(): i for i, g in enumerate(self.elements)
-        }
-        self.unit_index: dict[int, int] = {
-            g.x: i for i, g in enumerate(self.elements) if g.x == g.y and not any(g.m)
-        }
+        if columns is None:  # a hand-built list keeps its own witnesses
+            self.elements = tuple(sorted(elements, key=GroupoidElement.label))
+            self.witnesses = [g.witness for g in self.elements]
+            columns = [[getattr(g, c) for g in self.elements] for c in "xmy"]
+        x, m, y = (np.asarray(c, dtype=np.intp) for c in columns)
+        self.x, self.m, self.y = x, m.reshape(len(x), self.rank), y
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.x)
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
     def complete(self) -> bool:
-        """Only an exact space shows every witness, so only there is the list whole."""
+        """Only an exact space gives the whole groupoid."""
         return self.space.is_exact
 
     @property
     def rank(self) -> int:
         return self.space.skeleton.rank
 
-    def index_of(self, label: tuple[int, tuple[int, ...], int]) -> int:
+    def _xy(self) -> list[list[int]]:
+        ints = list(range(len(self.space)))  # shared ints: smaller labels, reports
+        return [[ints[i] for i in c.tolist()] for c in (self.x, self.y)]
+
+    @cached_property
+    def labels(self) -> list[Label]:
+        x, y = self._xy()
+        return list(zip(x, zip(*self.m.T.tolist()), y))
+
+    @cached_property
+    def witnesses(self) -> list[tuple[Degree, Degree]]:
+        rows, degree = self.space.factors, cache(Degree)  # one Degree per distinct shift
+        dx = [el.degree.coords for el in self.space.elements]
+        return [tuple(map(degree, least_witness(rows[x], rows[y], m, dx[x]))) for x, m, y in self.labels]
+
+    @cached_property
+    def elements(self) -> tuple[GroupoidElement, ...]:
+        return tuple(GroupoidElement(*label, w) for label, w in zip(self.labels, self.witnesses))
+
+    @cached_property
+    def _index(self) -> dict[Label, int]:
+        return {label: i for i, label in enumerate(self.labels)}  # a repeated label: its last
+
+    def index_of(self, label: Label) -> int:
         return self._index[label]
 
-    def __contains__(self, label: tuple[int, tuple[int, ...], int]) -> bool:
+    def __contains__(self, label: Label) -> bool:
         return label in self._index
+
+    @cached_property
+    def unit_index(self) -> dict[int, int]:
+        return {x: i for i, (x, m, y) in enumerate(self.labels) if x == y and not any(m)}
 
     def units(self) -> tuple[int, ...]:
         return tuple(sorted(self.unit_index))
@@ -90,119 +107,102 @@ class FiniteGroupoid:
     @cached_property
     def is_full(self) -> bool:
         """Are the elements exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once?"""
-        sk, space = self.space.skeleton, self.space.elements
-        source = [pth.source(sk, el.path) for el in space]
-        deg = [el.degree.coords for el in space]
-        return len(self._index) == len(self) == sum(n * n for n in Counter(source).values()) and all(
-            source[g.x] == source[g.y] and g.m == tuple(map(sub, deg[g.x], deg[g.y])) for g in self
-        )
+        built = build_path_groupoid(self.space)  # full by construction
+        return all(map(np.array_equal, (self.x, self.m, self.y), (built.x, built.m, built.y)))
 
     @cached_property
     def by_range(self) -> dict[int, list[int]]:
         """by_range[u] lists the indices of the elements (u, m, y), ascending."""
-        out: dict[int, list[int]] = {}
-        for i, g in enumerate(self.elements):
-            out.setdefault(g.x, []).append(i)
-        return out
+        xs = self.x.tolist()
+        return dict(zip(dict.fromkeys(xs), _blocks(xs)))
 
     @cached_property
     def inverse(self) -> dict[int, int]:
         """inverse[a] is the index of a's inverse; a missing inverse has no key."""
-        labels = ((i, (g.y, tuple(-c for c in g.m), g.x)) for i, g in enumerate(self.elements))
+        labels = ((i, (y, tuple(-c for c in m), x)) for i, (x, m, y) in enumerate(self.labels))
         return {i: self._index[label] for i, label in labels if label in self._index}
 
-    def composites(self) -> Iterator[tuple[int, int, int | None]]:
+    def composites(self):
         """(a, b, index of ab) over the composable pairs, ascending; None if ab is missing."""
-        index, elements = self._index, self.elements
-        for a, g in enumerate(elements):
-            for b in self.by_range.get(g.y, ()):
-                yield a, b, index.get(composite_label(g, elements[b]))
+        index, labels = self._index, self.labels
+        for a, (x, m, y) in enumerate(labels):
+            for b in self.by_range.get(y, ()):
+                yield a, b, index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))
 
     def product(self, a: int, b: int) -> int:
         """Index of ab = (x, m+n, z): ValueError if not composable, KeyError if missing."""
-        ga, gb = self.elements[a], self.elements[b]
-        if ga.y != gb.x:
-            raise ValueError(f"not composable: {ga.label()} then {gb.label()}")
-        if (label := composite_label(ga, gb)) not in self._index:
-            raise KeyError(f"composite of {ga.label()} and {gb.label()} missing")
+        (x, m, y), (u, n, z) = ga, gb = self.labels[a], self.labels[b]
+        if y != u:
+            raise ValueError(f"not composable: {ga} then {gb}")
+        if (label := (x, tuple(map(add, m, n)), z)) not in self._index:
+            raise KeyError(f"composite of {ga} and {gb} missing")
         return self._index[label]
 
     def to_json(self) -> dict:
-        orbit_of: dict[int, int] = {}
-        for label, members in enumerate(orbits(self)):
-            for u in members:
-                orbit_of[u] = label
+        orbit, (xs, ys), ms = {u: j for j, o in enumerate(orbits(self)) for u in o}, self._xy(), {}
         return {
             "complete": self.complete,
-            "elements": [
-                {
-                    "x": g.x,
-                    "m": list(g.m),
-                    "y": g.y,
-                    "unit": g.x == g.y and not any(g.m),
-                    "orbit": orbit_of[g.x],
-                }
-                for g in self.elements
+            "elements": [  # one list per m
+                {"x": x, "m": ms.get(m) or ms.setdefault(m, list(m)), "y": y, "unit": x == y and not any(m),
+                 "orbit": orbit[x]} for x, m, y in zip(xs, zip(*self.m.T.tolist()), ys)
             ],
             "units": [self.unit_index[u] for u in self.units()],
         }
 
 
-def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
-    """Pair the elements of each source block as (x, d(x) - d(y), y).
+def least_witness(row_x, row_y, m: tuple[int, ...], dx: tuple[int, ...]):
+    """The least (p, p - m) with equal tails in the `factors` rows of x and y."""
+    for p in product(*(range(max(c, 0), d + 1) for c, d in zip(m, dx))):
+        if row_x[p][1] == row_y[q := tuple(map(sub, p, m))][1]:
+            return p, q
 
-    x and y have a common tail exactly when they have a common source (the
-    tail at p = d(x)), so the groupoid is the same-source relation.  The
-    witness is the lexicographically least p with equal tails of x at p and
-    of y at p - m.  Only an exact space gives the whole groupoid (`complete`).
-    """
-    factors = space.factors
-    blocks: dict[Path, list[int]] = {}
-    for x, row in enumerate(factors):
-        blocks.setdefault(row[space.elements[x].degree.coords][1], []).append(x)
-    degree = cache(Degree)  # one Degree per distinct witness keeps the groupoid small
-    elements = []
-    for block in blocks.values():
-        for x in block:
-            dx = space.elements[x].degree.coords
-            for y in block:
-                m = tuple(map(sub, dx, space.elements[y].degree.coords))
-                for p in product(*(range(max(c, 0), d + 1) for c, d in zip(m, dx))):
-                    if factors[x][p][1] == factors[y][q := tuple(map(sub, p, m))][1]:
-                        elements.append(GroupoidElement(x, m, y, witness=(degree(p), degree(q))))
-                        break
-    return FiniteGroupoid(space, elements)
+
+def _ends(space: FinitePathSpace) -> tuple[list, list]:
+    """Per space element, its source's number (in order met) and its degree."""
+    sk, number = space.skeleton, {}
+    source = [number.setdefault(pth.source(sk, el.path), len(number)) for el in space.elements]
+    return source, [el.degree.coords for el in space.elements]
+
+
+def _blocks(keys) -> list[list[int]]:
+    """The indices with each key, ascending, keys in order met."""
+    blocks: dict = {}
+    for u, key in enumerate(keys):
+        blocks.setdefault(key, []).append(u)
+    return list(blocks.values())
+
+
+def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
+    """Pair each source block's elements as (x, d(x) - d(y), y), in label order: common tails are
+    common sources, so no witness is sought.  ValueError above `MAX_ELEMENTS`."""
+    source, degree = _ends(space)
+    rows = [sorted(b, key=lambda y: ([-c for c in degree[y]], y)) for b in _blocks(source)]
+    if (size := sum(len(row) ** 2 for row in rows)) > MAX_ELEMENTS:
+        raise ValueError(f"the path groupoid would have {size} elements, over {MAX_ELEMENTS}")
+    at = {u: j for row in rows for j, u in enumerate(row)}  # rows: d(y) descending, then y
+    rows = [np.array(row, dtype=np.intp) for row in rows]
+    x = np.repeat(np.arange(len(source)), lengths := [len(rows[s]) for s in source])
+    y = np.concatenate([np.zeros(0, dtype=np.intp), *(rows[s] for s in source)])
+    deg = np.array(degree, dtype=np.intp).reshape(len(source), space.skeleton.rank)
+    span = range(max(map(max, degree), default=0) + 1)  # a - b from a table: numpy int ops page in code
+    minus = np.array([[a - b for b in span] for a in span], dtype=np.intp)
+    G, start = FiniteGroupoid(space, columns=(x, minus[deg[x], deg[y]], y)), [0, *accumulate(lengths)]
+    G.is_full, G.unit_index = True, {u: start[u] + at[u] for u in range(len(source))}  # by construction
+    return G
 
 
 def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     """The path groupoid restricted to boundary elements."""
-    restricted = space if space.parent is not None else boundary_paths(space)
-    return build_path_groupoid(restricted)
+    return build_path_groupoid(space if space.parent is not None else boundary_paths(space))
 
 
 def orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
-    """Partition of the unit space under the range/source relation."""
-    parent = {u: u for u in range(len(G.space.elements))}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for g in G.elements:
-        ra, rb = find(g.x), find(g.y)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for u in parent:
-        groups.setdefault(find(u), []).append(u)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-
-
-def isotropy(G: FiniteGroupoid, unit: int) -> tuple[GroupoidElement, ...]:
-    """All elements looping at the given unit (space index)."""
-    return tuple(G.elements[i] for i in G.by_range.get(unit, ()) if G.elements[i].y == unit)
+    """Partition of the unit space under the range/source relation: if G is full, its source blocks."""
+    root = _ends(G.space)[0] if G.is_full else list(range(len(G.space)))
+    while not G.is_full and any(root[x] != root[y] for x, _, y in G.labels):
+        for x, _, y in G.labels:
+            root[x] = root[y] = min(root[x], root[y])
+    return tuple(map(tuple, _blocks(root)))
 
 
 @dataclass(frozen=True)
@@ -218,38 +218,25 @@ class GroupoidReport:
 
 def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
     """Closure, units, inverses, witness validity, and one element per label."""
-    failures: list[str] = []
-    factors = G.space.factors
-
-    for u in range(len(G.space.elements)):
-        if u not in G.unit_index:
-            failures.append(f"missing unit at space index {u}")
-    for i, g in enumerate(G.elements):
-        p, q = g.witness
-        xpath, ypath = G.space.elements[g.x].path, G.space.elements[g.y].path
-        if (
-            not p <= xpath.degree
-            or not q <= ypath.degree
-            or tuple(a - b for a, b in zip(p.coords, q.coords)) != g.m
-            or factors[g.x][p.coords][1] != factors[g.y][q.coords][1]
-        ):
-            failures.append(f"invalid witness on {g.label()}")
+    factors, points = G.space.factors, G.space.elements
+    failures = [f"missing unit at space index {u}" for u in range(len(points)) if u not in G.unit_index]
+    for i, (label, (p, q)) in enumerate(zip(G.labels, G.witnesses)):
+        x, m, y = label
+        if not (p <= points[x].degree and q <= points[y].degree and tuple(map(sub, p.coords, q.coords)) == m
+                and factors[x][p.coords][1] == factors[y][q.coords][1]):
+            failures.append(f"invalid witness on {label}")
         if i not in G.inverse:
-            failures.append(f"inverse of {g.label()} missing")
-        elif g.x not in G.unit_index or g.y not in G.unit_index:
-            failures.append(f"unit for {g.label()} missing")
+            failures.append(f"inverse of {label} missing")
+        elif x not in G.unit_index or y not in G.unit_index:
+            failures.append(f"unit for {label} missing")
 
     for a, b, ab in () if G.is_full else G.composites():  # a full groupoid is closed
         if ab is None:
-            failures.append(f"composite of {G.elements[a].label()} and {G.elements[b].label()} missing")
+            failures.append(f"composite of {G.labels[a]} and {G.labels[b]} missing")
 
     if not failures:
-        # Products are label sums, so associativity and the inverse law hold
-        # outright, and the unit law fails exactly where a label is repeated:
-        # g.u and u.g are the element the index holds for g's label.
-        for i, g in enumerate(G.elements):
-            if G._index[g.label()] != i:
-                failures.append(f"unit law fails at {g.label()}")
+        # Label sums are associative; g.u = u.g is the last copy of g's label.
+        failures += [f"unit law fails at {g}" for i, g in enumerate(G.labels) if G._index[g] != i]
     return GroupoidReport(not failures, tuple(failures))
 
 
@@ -270,7 +257,7 @@ def cylinder(G: FiniteGroupoid, lam: Path, mu: Path) -> CylinderSet:
         raise ValueError("cylinder needs paths with a common source")
     if not G.space.is_exact:
         raise ExactModeError("cylinders are only enumerable in exact mode")
-    m = tuple(a - b for a, b in zip(lam.degree.coords, mu.degree.coords))
+    m = tuple(map(sub, lam.degree.coords, mu.degree.coords))
     elements, joined = G.space.elements, G.space.index_of_factors
     members = [
         G.index_of((joined[(lam, elements[z].path)], m, joined[(mu, elements[z].path)]))
@@ -280,29 +267,21 @@ def cylinder(G: FiniteGroupoid, lam: Path, mu: Path) -> CylinderSet:
 
 
 def verify_etale(G: FiniteGroupoid) -> GroupoidReport:
-    """Cylinders cover G, are bisections, and unit cylinders give the units.
-
-    These are the finite shadows of the groupoid being etale: every element
-    sits in a basic cylinder on which range and source are injective, and
-    the unit space is the union of the vertex cylinders.
-    """
+    """Cylinders cover G and are bisections; the vertex cylinders give the units."""
     if not G.space.is_exact:
         raise ExactModeError("etale verification requires an exact space")
-    sk = G.space.skeleton
-    factors = G.space.factors
-    failures: list[str] = []
+    sk, factors, failures = G.space.skeleton, G.space.factors, []
     cylinders: dict[tuple[Path, Path], CylinderSet] = {}
-    for i, g in enumerate(G.elements):
-        p, q = g.witness
-        lam_mu = (factors[g.x][p.coords][0], factors[g.y][q.coords][0])
+    for i, (label, (p, q)) in enumerate(zip(G.labels, G.witnesses)):
+        lam_mu = (factors[label[0]][p.coords][0], factors[label[2]][q.coords][0])
         if lam_mu not in cylinders:
             cylinders[lam_mu] = cylinder(G, *lam_mu)
         if i not in cylinders[lam_mu].members:
-            failures.append(f"element {g.label()} not covered by its witness cylinder")
-    broken = []  # (cylinder, end) per map that is not injective: usually none, so only these are sorted
+            failures.append(f"element {label} not covered by its witness cylinder")
+    broken = []  # (cylinder, end) per map not injective: usually none, so sorted
     for lam_mu, cyl in cylinders.items():
-        for end, axis in (("range", "x"), ("source", "y")):
-            if len(ends := [getattr(G.elements[i], axis) for i in cyl.members]) != len(set(ends)):
+        for end, axis in (("range", 0), ("source", 2)):
+            if len(ends := [G.labels[i][axis] for i in cyl.members]) != len(set(ends)):
                 broken.append((lam_mu, end))
     for (lam, mu), end in sorted(broken, key=lambda b: tuple(map(pth.path_sort_key, b[0]))):
         failures.append(f"{end} map not injective on cylinder ({lam.to_json()}, {mu.to_json()})")

@@ -46,13 +46,18 @@ The per-element reference layer before the sampled suites moved here from
 `homogeneous_component`, `support_levels`, the `random_*` draws,
 `rank_one_lift`, `cuntz_krieger_sides`).  Each still calls the library
 primitive it restates, so the tests that read them still exercise `kgraphs`.
+So did the object build of the path groupoid, its union-find `orbits` and
+`isotropy`, once the groupoid became columns (`object_path_groupoid`).
 """
 
 from __future__ import annotations
 
 import graphlib
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
+from operator import sub
 
 import numpy as np
 
@@ -742,6 +747,109 @@ def tail_join_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
         for (x, m, y), (p, q) in found.items()
     ]
     return FiniteGroupoid(space, elements)
+
+
+# The object build that `build_path_groupoid` replaced: one `GroupoidElement`
+# per element, each witnessed by its own search over the factorization table,
+# sorted by the list constructor; the union-find partition that `orbits`
+# replaced; and the certificate, unit and inverse tables and report that
+# `FiniteGroupoid` read off its element objects.  Moved here, as references
+# for the columnar build, its on-demand witnesses and what reads its arrays.
+
+
+def object_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
+    """Pair the elements of each source block as (x, d(x) - d(y), y).
+
+    x and y have a common tail exactly when they have a common source (the
+    tail at p = d(x)), so the groupoid is the same-source relation.  The
+    witness is the lexicographically least p with equal tails of x at p and
+    of y at p - m.  Only an exact space gives the whole groupoid (`complete`).
+    """
+    factors = space.factors
+    blocks: dict[Path, list[int]] = {}
+    for x, row in enumerate(factors):
+        blocks.setdefault(row[space.elements[x].degree.coords][1], []).append(x)
+    degree = cache(Degree)  # one Degree per distinct witness keeps the groupoid small
+    elements = []
+    for block in blocks.values():
+        for x in block:
+            dx = space.elements[x].degree.coords
+            for y in block:
+                m = tuple(map(sub, dx, space.elements[y].degree.coords))
+                for p in product(*(range(max(c, 0), d + 1) for c, d in zip(m, dx))):
+                    if factors[x][p][1] == factors[y][q := tuple(map(sub, p, m))][1]:
+                        elements.append(GroupoidElement(x, m, y, witness=(degree(p), degree(q))))
+                        break
+    return FiniteGroupoid(space, elements)
+
+
+def union_find_orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
+    """Partition of the unit space under the range/source relation."""
+    parent = {u: u for u in range(len(G.space.elements))}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for g in G.elements:
+        ra, rb = find(g.x), find(g.y)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for u in parent:
+        groups.setdefault(find(u), []).append(u)
+    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+
+
+def object_is_full(G: FiniteGroupoid) -> bool:
+    """Are the elements exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once?"""
+    sk, space = G.space.skeleton, G.space.elements
+    source = [pth.source(sk, el.path) for el in space]
+    deg = [el.degree.coords for el in space]
+    labels = [g.label() for g in G.elements]
+    return len(set(labels)) == len(G) == sum(n * n for n in Counter(source).values()) and all(
+        source[g.x] == source[g.y] and g.m == tuple(map(sub, deg[g.x], deg[g.y])) for g in G.elements
+    )
+
+
+def object_unit_index(G: FiniteGroupoid) -> dict[int, int]:
+    return {g.x: i for i, g in enumerate(G.elements) if g.x == g.y and not any(g.m)}
+
+
+def object_inverse(G: FiniteGroupoid) -> dict[int, int]:
+    index = {g.label(): i for i, g in enumerate(G.elements)}
+    labels = ((i, (g.y, tuple(-c for c in g.m), g.x)) for i, g in enumerate(G.elements))
+    return {i: index[label] for i, label in labels if label in index}
+
+
+def object_groupoid_json(G: FiniteGroupoid) -> dict:
+    """`FiniteGroupoid.to_json` over the element objects, with union-find orbits."""
+    orbit_of: dict[int, int] = {}
+    for label, members in enumerate(union_find_orbits(G)):
+        for u in members:
+            orbit_of[u] = label
+    units = object_unit_index(G)
+    return {
+        "complete": G.complete,
+        "elements": [
+            {
+                "x": g.x,
+                "m": list(g.m),
+                "y": g.y,
+                "unit": g.x == g.y and not any(g.m),
+                "orbit": orbit_of[g.x],
+            }
+            for g in G.elements
+        ],
+        "units": [units[u] for u in sorted(units)],
+    }
+
+
+def isotropy(G: FiniteGroupoid, unit: int) -> tuple[GroupoidElement, ...]:
+    """All elements looping at the given unit (space index)."""
+    return tuple(G.elements[i] for i in G.by_range.get(unit, ()) if G.elements[i].y == unit)
 
 
 def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:

@@ -140,7 +140,7 @@ def test_by_range_and_isotropy_equal_the_scans(exact_groupoids, instance_a):
         xs = {g.x for g in G.elements}
         assert G.by_range == {u: [i for i, g in enumerate(G.elements) if g.x == u] for u in sorted(xs)}
         for u in range(len(G.space.elements) + 1):
-            assert kg.isotropy(G, u) == tuple(g for g in G.elements if g.x == u and g.y == u)
+            assert orc.isotropy(G, u) == tuple(g for g in G.elements if g.x == u and g.y == u)
 
 
 def test_index_arrays_are_built_once_per_groupoid_and_let_it_go(instance_b):

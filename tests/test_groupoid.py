@@ -291,7 +291,7 @@ def test_orbits_of_line_groupoid(instance_e, space_e, G_e):
 def test_isotropy_trivial_on_acyclic(G_b, G_e, Gb_e):
     for G in (G_b, G_e, Gb_e):
         for u in range(len(G.space.elements)):
-            assert [g.m for g in kg.isotropy(G, u)] == [(0,) * G.rank]
+            assert [g.m for g in orc.isotropy(G, u)] == [(0,) * G.rank]
 
 
 def test_truncated_build_is_flagged(instance_a):
