@@ -8,15 +8,16 @@ Toeplitz and Cuntz-Krieger families, the gauge action, the quotient onto the
 boundary groupoid, and that the generators span the whole algebra.
 
 Each element is one complex vector indexed like the groupoid's elements;
-operations and generators gather and scatter through `index_arrays(G)`, one
-per groupoid, which also holds the rank-1 columns of each edge's range and
-source.  Convolution sums the composable pairs with `np.bincount` in ascending
-(a, b) order, so restricting a product to the boundary groupoid reproduces the
-product of the restrictions bit for bit.  Products use the split formula
-re = ar*br - ai*bi, im = ar*bi + ai*br and moduli `np.hypot`, which round as
-Python's complex product and abs(complex) do (numpy's multiply and `np.abs`
-differ in the last bits), so every deviation equals a coefficient loop's; the
-regular-representation checks keep numpy's matmul and `np.abs`.
+operations and generators gather and scatter through the index arrays that
+the groupoid builds once and keeps (`composition`, `inverse_array`, `grading`,
+`unit_vertex`, `arrows`).  Convolution sums the composable pairs with
+`np.bincount` in ascending (a, b) order, so restricting a product to the
+boundary groupoid reproduces the product of the restrictions bit for bit.
+Products use the split formula re = ar*br - ai*bi, im = ar*bi + ai*br and
+moduli `np.hypot`, which round as Python's complex product and abs(complex)
+do (numpy's multiply and `np.abs` differ in the last bits), so every deviation
+equals a coefficient loop's; the regular-representation checks keep numpy's
+matmul and `np.abs`.
 
 The sampled suites (`verify_*`) evaluate each identity once per chunk of
 samples stacked as rows, drawn in the order one sample at a time draws them
@@ -34,11 +35,9 @@ the |G| words s_x s_y* are unitriangular in the delta basis and span it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
-from .groupoid import FiniteGroupoid  # compiled before numpy loads: a lower peak RSS
+from .groupoid import FiniteGroupoid, _columns  # compiled before numpy loads: a lower peak RSS
 import numpy as np
 
 from .skeleton import Skeleton
@@ -46,63 +45,10 @@ from .bimodule import EdgeFunction, VertexFunction, rank_one_decomposition
 from .boundary import classify_vertices
 from .paths import source
 
+DEFAULT_SAMPLES = 100
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
 _CHUNK = 2**10
-
-
-class IndexArrays:
-    """A groupoid's elements, composition table and generators as index arrays; no reference to G.
-
-    Per element: x, y, and `level`, the position of m in `levels`.  `pairs`
-    holds a, b, ab over the composable pairs whose composite label (x, m+n, z)
-    is an element, ascending (a, b), from one pass of `G.composites()` over
-    `G.by_range`; `missing` lists the composable pairs whose composite is not.
-    x and y index the `paths` paths.  Per unit, `units` and `unit_vertex`: its
-    element and its range's column in `sk.vertices`.  At rank 1, per path x of
-    positive length, `arrows` and `arrow_edge`: (x, 1, tail of x) and the column
-    of x's first edge in `sk.edges`; `lacking` lists (label, column) of those G lacks.
-    Per edge of `sk.edges`, `edge_range` and `edge_source`: the columns of its ends.
-    """
-
-    def __init__(self, G: FiniteGroupoid):
-        self.levels = tuple(sorted({m for _, m, _ in G.labels}))
-        at = {m: j for j, m in enumerate(self.levels)}
-        self.x, self.y, self.level = G.x, G.y, np.array([at[m] for _, m, _ in G.labels], dtype=np.intp)
-        rows = list(G.composites())
-        known = [row for row in rows if row[2] is not None]
-        self.pairs = tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T)
-        self.missing = [(a, b) for a, b, ab in rows if ab is None]
-        self._inverse_of = G.inverse
-        space, sk = G.space, G.space.skeleton
-        self.paths = len(space)
-        vertex, edge = ({a.id: j for j, a in enumerate(items)} for items in (sk.vertices, sk.edges))
-        units = [(i, vertex[space.elements[p].path.range]) for p, i in G.unit_index.items()]
-        arrows = [
-            ((x, (1,), space.index_of(space.factors[x][(1,)][1])), edge[el.path.blocks[0][0]])
-            for x, el in enumerate(space.elements) if sk.rank == 1 and el.path.blocks[0]
-        ]
-        kept = [(G.index_of(label), e) for label, e in arrows if label in G]
-        self.units, self.unit_vertex = np.array(units, dtype=np.intp).reshape(-1, 2).T
-        self.arrows, self.arrow_edge = np.array(kept, dtype=np.intp).reshape(-1, 2).T
-        self.lacking = [(label, e) for label, e in arrows if label not in G]
-        ends = [(vertex[e.range], vertex[e.source]) for e in sk.edges]
-        self.edge_range, self.edge_source = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Each element's inverse; KeyError if one is missing."""
-        return np.array([self._inverse_of[i] for i in range(len(self.x))], dtype=np.intp)
-
-
-_index_arrays: weakref.WeakKeyDictionary[FiniteGroupoid, IndexArrays] = weakref.WeakKeyDictionary()
-
-
-def index_arrays(G: FiniteGroupoid) -> IndexArrays:
-    """G's index arrays, built once and kept for as long as G lives."""
-    if G not in _index_arrays:
-        _index_arrays[G] = IndexArrays(G)
-    return _index_arrays[G]
 
 
 def _scatter(n, at, values):
@@ -114,17 +60,16 @@ def _scatter(n, at, values):
 
 def _vertex_rows(G, f):
     """P(f) for each row of f, the values on `sk.vertices`."""
-    arrays = index_arrays(G)
-    return _scatter(len(G), arrays.units, f[:, arrays.unit_vertex])
+    return _scatter(len(G), G.unit_vertex[0], f[:, G.unit_vertex[1]])
 
 
 def _edge_rows(G, xi):
     """S(xi) for each row of xi, the values on `sk.edges`; KeyError if it needs a missing element."""
-    arrays = index_arrays(G)
-    for label, e in arrays.lacking:
+    at, column, lacking = G.arrows
+    for label, e in lacking:
         if np.any(xi[:, e] != 0):
             G.index_of(label)  # raises KeyError: the element is missing
-    return _scatter(len(G), arrays.arrows, xi[:, arrays.arrow_edge])
+    return _scatter(len(G), at, xi[:, column])
 
 
 class AlgebraElement:
@@ -209,11 +154,10 @@ def _row_sums(at, values, width):
 
 def _convolve_rows(G, F, H):
     """Row r of the result is F[r] * H[r]; a one-row F or H pairs with every row of the other."""
-    arrays = index_arrays(G)
-    for ia, ib in arrays.missing:
+    (a, b, ab), missing = G.composition
+    for ia, ib in missing:
         if np.any((F[:, ia] != 0) & (H[:, ib] != 0)):
             G.product(ia, ib)  # raises KeyError: the composite is missing
-    a, b, ab = arrays.pairs
     x, y = F[:, a], H[:, b]  # the split product, one part at a time: fewer temporaries
     out = _row_sums(ab, x.real * y.real - x.imag * y.imag, len(G)).astype(complex)
     out.imag = _row_sums(ab, x.real * y.imag + x.imag * y.real, len(G))
@@ -231,12 +175,18 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 def involution(f: AlgebraElement) -> AlgebraElement:
     """f*(x, m, y) = conj(f(y, -m, x)); KeyError if the groupoid lacks an inverse."""
-    return AlgebraElement(f.groupoid, np.conj(f.values[index_arrays(f.groupoid).inverse]))
+    return AlgebraElement(f.groupoid, np.conj(f.values[f.groupoid.inverse_array]))
 
 
-def _i_norms(arrays, F):
-    sums = [_row_sums(at, _modulus(F), arrays.paths) for at in (arrays.x, arrays.y)]
+def _i_norms(G, F):
+    sums = [_row_sums(at, _modulus(F), len(G.space)) for at in (G.x, G.y)]
     return np.concatenate(sums, axis=1).max(axis=1, initial=0.0)
+
+
+def _edge_ends(sk):
+    """The columns in `sk.vertices` of each edge's range and of its source, in `sk.edges` order."""
+    vertex = _columns(sk.vertices)
+    return np.array([(vertex[e.range], vertex[e.source]) for e in sk.edges], dtype=np.intp).reshape(-1, 2).T
 
 
 def _max_abs(values):
@@ -392,13 +342,13 @@ def _normal_rows(rng, shape):
 
 def _chunks(G, samples):
     """Row counts of consecutive chunks of the samples: _CHUNK terms per temporary, or one row."""
-    rows = max(1, _CHUNK // max(len(index_arrays(G).pairs[0]), len(G), 1))
+    rows = max(1, _CHUNK // max(len(G.composition[0][0]), len(G), 1))
     return (min(rows, samples - start) for start in range(0, samples, rows))
 
 
 def verify_algebra_identities(
     G: FiniteGroupoid,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> list[RelationReport]:
@@ -406,17 +356,16 @@ def verify_algebra_identities(
     rng = np.random.default_rng(seed)
     rep = RegularRepresentation(G)
     tables = list({id(t): t for t in rep.entries.values()}.values())  # one per source block if full
-    arrays = index_arrays(G)
     dev_assoc = dev_dist = dev_inv = dev_norm = dev_rep = dev_adj = 0.0
     if len(G) <= 50:
         # (delta_a delta_b) delta_c and delta_a (delta_b delta_c) are deltas or 0, so they
         # differ by 1.0 or not at all.  Row a of the product table (index n for 0) gives every
         # (ab)c and a(bc); rows compare as lists: numpy's int compare pages in 128 KB more.
         n = len(G)
-        if arrays.missing:
-            G.product(*arrays.missing[0])  # raises KeyError: a composite is missing
+        (a, b, ab), missing = G.composition
+        if missing:
+            G.product(*missing[0])  # raises KeyError: a composite is missing
         product = np.full((n + 1, n + 1), n, dtype=np.intp)
-        a, b, ab = arrays.pairs
         product[a, b] = ab
         for row in product[:n]:
             if product[row].tolist() != row[product].tolist():
@@ -427,9 +376,9 @@ def verify_algebra_identities(
         dev_assoc = max(dev_assoc, _max_abs(_convolve_rows(G, fg, h) - _convolve_rows(G, f, gh)))
         dist = _convolve_rows(G, f, g + h) - (fg + fh), _convolve_rows(G, f + g, h) - (fh + gh)
         dev_dist = max(dev_dist, *map(_max_abs, dist))
-        f_star, g_star, fg_star = (np.conj(v[:, arrays.inverse]) for v in (f, g, fg))
+        f_star, g_star, fg_star = (np.conj(v[:, G.inverse_array]) for v in (f, g, fg))
         dev_inv = max(dev_inv, _max_abs(fg_star - _convolve_rows(G, g_star, f_star)))
-        norms = _i_norms(arrays, fg) - _i_norms(arrays, f) * _i_norms(arrays, g)
+        norms = _i_norms(G, fg) - _i_norms(G, f) * _i_norms(G, g)
         dev_norm = max(dev_norm, float(np.max(norms)))
         for t in tables:
             mf = f[:, t]
@@ -444,33 +393,33 @@ def verify_algebra_identities(
 
 def verify_toeplitz_identities(
     G: FiniteGroupoid,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> list[RelationReport]:
     """S(xi)* S(eta) = P(<xi, eta>) and P(f) S(xi) = S(f . xi), sampled."""
     sk = _require_rank_one(G)
     rng = np.random.default_rng(seed)
-    nv, ne, arrays = len(sk.vertices), len(sk.edges), index_arrays(G)
+    nv, ne, (edge_range, edge_source) = len(sk.vertices), len(sk.edges), _edge_ends(sk)
     dev_i = dev_ii = 0.0
     for rows in _chunks(G, samples):
         draw = _normal_rows(rng, (rows, nv + 2 * ne))
         f, xi, eta = draw[:, :nv], draw[:, nv : nv + ne], draw[:, nv + ne :]
         s_xi = _edge_rows(G, xi)
-        lhs_i = _convolve_rows(G, np.conj(s_xi[:, arrays.inverse]), _edge_rows(G, eta))
+        lhs_i = _convolve_rows(G, np.conj(s_xi[:, G.inverse_array]), _edge_rows(G, eta))
         products, inner = _multiply(np.conj(xi), eta), np.zeros((rows, nv), complex)
-        for e, v in enumerate(arrays.edge_source):  # each vertex's edges ascending, as `inner_product`
+        for e, v in enumerate(edge_source):  # each vertex's edges ascending, as `inner_product`
             inner[:, v] += products[:, e]
         dev_i = max(dev_i, _max_abs(lhs_i - _vertex_rows(G, inner)))
         lhs_ii = _convolve_rows(G, _vertex_rows(G, f), s_xi)
-        dev_ii = max(dev_ii, _max_abs(lhs_ii - _edge_rows(G, _multiply(f[:, arrays.edge_range], xi))))
+        dev_ii = max(dev_ii, _max_abs(lhs_ii - _edge_rows(G, _multiply(f[:, edge_range], xi))))
     deviations = {"toeplitz_inner_product": dev_i, "toeplitz_left_action": dev_ii}
     return [_report(name, samples, seed, dev, tol) for name, dev in deviations.items()]
 
 
 def verify_cuntz_krieger(
     boundary_G: FiniteGroupoid,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> RelationReport:
@@ -483,8 +432,8 @@ def verify_cuntz_krieger(
     the P_e have disjoint supports ((x, 0, x') lies in that of x's first edge e; r(e) = r(x)).
     """
     sk = _require_rank_one(boundary_G)
-    classes, arrays = classify_vertices(sk), index_arrays(boundary_G)
-    regular = sorted(set(arrays.edge_range.tolist()))  # columns of classes.regular: the edges' ranges
+    classes, vertex, edge = classify_vertices(sk), _columns(sk.vertices), _columns(sk.edges)
+    regular = sorted({vertex[e.range] for e in sk.edges})  # columns of classes.regular: the edges' ranges
     rng = np.random.default_rng(seed)
     deviation, notes, degree_zero = 0.0, "", []
     for path_idx, elem_idx in boundary_G.unit_index.items():
@@ -494,13 +443,12 @@ def verify_cuntz_krieger(
             if el.path.range not in classes.sources:
                 notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
     frame = rank_one_decomposition(sk, VertexFunction.indicator(classes.regular))
-    vertex, edge = ({a.id: j for j, a in enumerate(items)} for items in (sk.vertices, sk.edges))
-    at_range = np.array([vertex[el.path.range] for el in boundary_G.space], dtype=np.intp)[arrays.x]
+    at_range = np.array([vertex[el.path.range] for el in boundary_G.space], dtype=np.intp)[boundary_G.x]
     projections = np.zeros((1, len(boundary_G)), complex)  # the sum of the P_e
     for _, eta in frame if samples > 0 else ():
         columns, values = [edge[e] for e in eta.values], [[*eta.values.values()]]
         s = _edge_rows(boundary_G, _scatter(len(sk.edges), columns, values))
-        projections += _convolve_rows(boundary_G, s, np.conj(s[:, arrays.inverse]))
+        projections += _convolve_rows(boundary_G, s, np.conj(s[:, boundary_G.inverse_array]))
     for rows in _chunks(boundary_G, samples):
         f = _scatter(len(sk.vertices), regular, _normal_rows(rng, (rows, len(regular))))
         lhs, rhs = _vertex_rows(boundary_G, f), _multiply(f[:, at_range], projections)
@@ -512,14 +460,14 @@ def verify_cuntz_krieger(
 
 def verify_gauge_action(
     G: FiniteGroupoid,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> list[RelationReport]:
     """Gauge scaling is an automorphism, respects the grading, and fixes units."""
     sk = G.space.skeleton
     rng = np.random.default_rng(seed)
-    levels, level = index_arrays(G).levels, index_arrays(G).level
+    levels, level = G.grading
     at = {m: j for j, m in enumerate(levels)}
     one_hot = np.eye(len(levels) + 1, len(levels), dtype=bool)  # row -1: no level
     dev_auto = dev_grade = dev_gen = 0.0
@@ -560,7 +508,7 @@ def verify_gauge_action(
 def verify_quotient(
     G: FiniteGroupoid,
     boundary_G: FiniteGroupoid,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> RelationReport:
     """Restriction to the boundary groupoid is multiplicative, exactly.

@@ -233,6 +233,8 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def cmd_groupoid(args: argparse.Namespace) -> int:
+    if args.boundary and args.bound is not None:
+        raise ValueError("the boundary groupoid needs an exact space: --boundary takes no --bound")
     if (sk := _load_valid(args)) is None:
         return 1
     space = bnd.enumerate_path_space(sk, bound=args.bound)
@@ -324,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--bound": {"type": _parse_degree, "default": None, "help": "truncation bound, e.g. 2,2"},
-        "--samples": {"type": _sample_count, "default": 100},
-        "--tol": {"type": _tolerance, "default": 1e-9},
-        "--seed": {"type": int, "default": 0},
+        "--samples": {"type": _sample_count, "default": alg.DEFAULT_SAMPLES},
+        "--tol": {"type": _tolerance, "default": alg.DEFAULT_TOL},
+        "--seed": {"type": int, "default": alg.DEFAULT_SEED},
         "--format": {"choices": ("json", "text"), "default": "json"},
     }
 

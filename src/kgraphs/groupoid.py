@@ -6,7 +6,8 @@ labels (x, d(x) - d(y), y), held as int arrays `x`, `m` (|G| x k), `y` in label
 order; witnesses (`least_witness`) and element objects are made on first use.
 A hand-built list is sorted into the same arrays and keeps its witnesses.
 Products are label sums, so the axiom check needs closure (`is_full`), units,
-inverses and distinct labels, never triples.
+inverses and distinct labels, never triples.  The index arrays that the
+convolution algebra gathers through are cached properties, built on first use.
 """
 
 from __future__ import annotations
@@ -122,12 +123,47 @@ class FiniteGroupoid:
         labels = ((i, (y, tuple(-c for c in m), x)) for i, (x, m, y) in enumerate(self.labels))
         return {i: self._index[label] for i, label in labels if label in self._index}
 
-    def composites(self):
-        """(a, b, index of ab) over the composable pairs, ascending; None if ab is missing."""
-        index, labels = self._index, self.labels
+    @cached_property
+    def composition(self) -> tuple[tuple[np.ndarray, ...], list[tuple[int, int]]]:
+        """(pairs, missing) from one pass over `by_range`, each ascending (a, b): pairs holds a, b, ab
+        over the composable pairs whose composite label (x, m+n, z) is an element, missing the rest."""
+        index, labels, known, missing = self._index, self.labels, [], []
         for a, (x, m, y) in enumerate(labels):
             for b in self.by_range.get(y, ()):
-                yield a, b, index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))
+                if (ab := index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))) is None:
+                    missing.append((a, b))
+                else:
+                    known.append((a, b, ab))
+        return tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T), missing
+
+    @cached_property
+    def inverse_array(self) -> np.ndarray:
+        """Each element's inverse; KeyError if one is missing."""
+        return np.array([self.inverse[i] for i in range(len(self))], dtype=np.intp)
+
+    @cached_property
+    def grading(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+        """(levels, level): the distinct m, ascending, and each element's position of m in them."""
+        levels = tuple(sorted({m for _, m, _ in self.labels}))
+        at = {m: j for j, m in enumerate(levels)}
+        return levels, np.array([at[m] for _, m, _ in self.labels], dtype=np.intp)
+
+    @cached_property
+    def unit_vertex(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per unit, its element and its range's column in `sk.vertices`."""
+        vertex, points = _columns(self.space.skeleton.vertices), self.space.elements
+        units = [(i, vertex[points[p].path.range]) for p, i in self.unit_index.items()]
+        return tuple(np.array(units, dtype=np.intp).reshape(-1, 2).T)
+
+    @cached_property
+    def arrows(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """Rank 1 only: per path x of positive length, (x, 1, tail of x) and x's first edge's column in
+        `sk.edges`.  (elements, columns) of those G has, and (label, column) of those it lacks."""
+        space, edge = self.space, _columns(self.space.skeleton.edges)
+        arrows = [((x, (1,), space.index_of(space.factors[x][(1,)][1])), edge[el.path.blocks[0][0]])
+                  for x, el in enumerate(space.elements) if el.path.blocks[0]]
+        kept = [(self.index_of(label), e) for label, e in arrows if label in self]
+        return (*np.array(kept, dtype=np.intp).reshape(-1, 2).T, [a for a in arrows if a[0] not in self])
 
     def product(self, a: int, b: int) -> int:
         """Index of ab = (x, m+n, z): ValueError if not composable, KeyError if missing."""
@@ -155,6 +191,11 @@ def least_witness(row_x, row_y, m: tuple[int, ...], dx: tuple[int, ...]):
     for p in product(*(range(max(c, 0), d + 1) for c, d in zip(m, dx))):
         if row_x[p][1] == row_y[q := tuple(map(sub, p, m))][1]:
             return p, q
+
+
+def _columns(items) -> dict[str, int]:
+    """Each id's position in `items` (`sk.vertices` or `sk.edges`)."""
+    return {a.id: j for j, a in enumerate(items)}
 
 
 def _ends(space: FinitePathSpace) -> tuple[list, list]:
@@ -230,9 +271,8 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
         elif x not in G.unit_index or y not in G.unit_index:
             failures.append(f"unit for {label} missing")
 
-    for a, b, ab in () if G.is_full else G.composites():  # a full groupoid is closed
-        if ab is None:
-            failures.append(f"composite of {G.labels[a]} and {G.labels[b]} missing")
+    for a, b in () if G.is_full else G.composition[1]:  # a full groupoid is closed
+        failures.append(f"composite of {G.labels[a]} and {G.labels[b]} missing")
 
     if not failures:
         # Label sums are associative; g.u = u.g is the last copy of g's label.

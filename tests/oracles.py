@@ -79,7 +79,6 @@ from kgraphs.algebra import (
     _scatter,
     convolve,
     edge_operator,
-    index_arrays,
     involution,
     vertex_operator,
 )
@@ -1111,7 +1110,7 @@ def cocycle(g: GroupoidElement) -> tuple[int, ...]:
 
 def i_norm(f: AlgebraElement) -> float:
     """Max over units of the larger fiberwise l1 sum (range or source fiber)."""
-    return float(_i_norms(index_arrays(f.groupoid), f.values[None])[0])
+    return float(_i_norms(f.groupoid, f.values[None])[0])
 
 
 def rank_one_lift(G: FiniteGroupoid, pairs) -> AlgebraElement:
@@ -1130,20 +1129,20 @@ def quotient_restrict(f: AlgebraElement, boundary_G: FiniteGroupoid) -> AlgebraE
 
 def gauge_automorphism(f: AlgebraElement, t) -> AlgebraElement:
     """Scale the coefficient at (x, m, y) by the monomial t^m; |t_c| must be 1."""
-    arrays = index_arrays(f.groupoid)
-    scales = _gauge_scales(arrays.levels, t, f.groupoid.rank)
-    return AlgebraElement(f.groupoid, _multiply(scales[arrays.level], f.values))
+    levels, level = f.groupoid.grading
+    scales = _gauge_scales(levels, t, f.groupoid.rank)
+    return AlgebraElement(f.groupoid, _multiply(scales[level], f.values))
 
 
 def homogeneous_component(f: AlgebraElement, level: tuple[int, ...]) -> AlgebraElement:
-    arrays = index_arrays(f.groupoid)
-    at_level = np.array([m == tuple(level) for m in arrays.levels], dtype=bool)
-    return AlgebraElement(f.groupoid, np.where(at_level[arrays.level], f.values, 0))
+    levels, at = f.groupoid.grading
+    at_level = np.array([m == tuple(level) for m in levels], dtype=bool)
+    return AlgebraElement(f.groupoid, np.where(at_level[at], f.values, 0))
 
 
 def support_levels(f: AlgebraElement) -> set[tuple[int, ...]]:
-    arrays = index_arrays(f.groupoid)
-    return {arrays.levels[j] for j in arrays.level[f.values != 0].tolist()}
+    levels, level = f.groupoid.grading
+    return {levels[j] for j in level[f.values != 0].tolist()}
 
 
 def random_vertex_function(rng: np.random.Generator, vertex_ids) -> VertexFunction:
@@ -1202,11 +1201,10 @@ def verify_algebra_identities(
         # differ by 1.0 or not at all.  Row a of the product table (index n for 0) gives every
         # (ab)c and a(bc); rows compare as lists: numpy's int compare pages in 128 KB more.
         n = len(G)
-        arrays = index_arrays(G)
-        if arrays.missing:
-            G.product(*arrays.missing[0])  # raises KeyError: a composite is missing
+        (a, b, ab), missing = G.composition
+        if missing:
+            G.product(*missing[0])  # raises KeyError: a composite is missing
         product = np.full((n + 1, n + 1), n, dtype=np.intp)
-        a, b, ab = arrays.pairs
         product[a, b] = ab
         for row in product[:n]:
             if product[row].tolist() != row[product].tolist():

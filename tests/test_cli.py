@@ -407,3 +407,12 @@ def test_a_directory_path_is_a_one_line_usage_error(tmp_path, capsys, where):
 
 def test_the_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+def test_the_boundary_groupoid_of_a_truncated_space_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["groupoid", str(instance_path("a")), "--bound", "1,1", "--boundary", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == "error: the boundary groupoid needs an exact space: --boundary takes no --bound\n"

@@ -1,6 +1,6 @@
 """Composition by label arithmetic against the label and loop oracles.
 
-`FiniteGroupoid.product`, the index arrays of `kgraphs.algebra` and the
+`FiniteGroupoid.product`, the groupoid's composition table and the
 axiom report must equal the pair-by-pair label oracles and the old axiom
 loops; the array arithmetic must equal the coefficient loops bit for bit,
 not up to a tolerance.
@@ -8,15 +8,12 @@ not up to a tolerance.
 
 from __future__ import annotations
 
-import gc
-import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kgraphs as kg
-from kgraphs import algebra as alg
 from kgraphs.algebra import AlgebraElement
 from kgraphs.groupoid import FiniteGroupoid
 from kgraphs.skeleton import Degree
@@ -91,9 +88,9 @@ def test_table_is_built_on_first_use(instance_a, instance_e):
     G = kg.build_path_groupoid(kg.enumerate_path_space(instance_e))
     for H in (truncated, G):
         assert "by_range" not in vars(H) and "inverse" not in vars(H)
-        assert H not in alg._index_arrays
+        assert "composition" not in vars(H)
     kg.convolve(AlgebraElement.delta(G, G.elements[0].label()), AlgebraElement.zero(G))
-    assert "by_range" in vars(G) and G in alg._index_arrays
+    assert "by_range" in vars(G) and "composition" in vars(G)
 
 
 def test_convolve_and_involution_equal_the_label_oracle_exactly(exact_groupoids):
@@ -126,11 +123,10 @@ def label_rows(G) -> list[tuple[int, int, int | None]]:
 def test_pairs_list_the_table_ascending(exact_groupoids, instance_a):
     truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((1, 1))))
     for G in [*exact_groupoids.values(), truncated]:
-        arrays = alg.index_arrays(G)
         rows = label_rows(G)
-        assert list(G.composites()) == rows
-        assert list(zip(*(c.tolist() for c in arrays.pairs))) == [r for r in rows if r[2] is not None]
-        assert arrays.missing == [(a, b) for a, b, ab in rows if ab is None]
+        pairs, missing = G.composition
+        assert list(zip(*(c.tolist() for c in pairs))) == [r for r in rows if r[2] is not None]
+        assert missing == [(a, b) for a, b, ab in rows if ab is None]
         assert rows == sorted(rows)
 
 
@@ -141,18 +137,6 @@ def test_by_range_and_isotropy_equal_the_scans(exact_groupoids, instance_a):
         assert G.by_range == {u: [i for i, g in enumerate(G.elements) if g.x == u] for u in sorted(xs)}
         for u in range(len(G.space.elements) + 1):
             assert orc.isotropy(G, u) == tuple(g for g in G.elements if g.x == u and g.y == u)
-
-
-def test_index_arrays_are_built_once_per_groupoid_and_let_it_go(instance_b):
-    G, _ = groupoids(instance_b)
-    arrays = alg.index_arrays(G)
-    assert alg.index_arrays(G) is arrays
-    assert arrays.x.tolist() == [g.x for g in G] and arrays.y.tolist() == [g.y for g in G]
-    assert [arrays.levels[j] for j in arrays.level.tolist()] == [g.m for g in G]
-    alive = weakref.ref(G)
-    del G
-    gc.collect()
-    assert alive() is None
 
 
 def test_scale_moduli_and_gauge_equal_the_coefficient_loops_exactly(exact_groupoids):
@@ -172,7 +156,7 @@ def test_scale_moduli_and_gauge_equal_the_coefficient_loops_exactly(exact_groupo
 def test_swapped_composites_fail_basis_associativity_by_exactly_one(instance_e):
     G, _ = groupoids(instance_e)
     units = set(G.unit_index.values())
-    a, b, ab = alg.index_arrays(G).pairs
+    (a, b, ab), _ = G.composition
     # The first row with two non-unit successors whose composites differ.
     rows: dict[int, list[int]] = {}
     for k in range(len(a)):
@@ -192,7 +176,7 @@ def drop_a_composite(G):
     Returns the broken groupoid and those pairs, as index pairs into G.
     """
     units = set(G.unit_index.values())
-    rows = list(zip(*(c.tolist() for c in alg.index_arrays(G).pairs)))
+    rows = list(zip(*(c.tolist() for c in G.composition[0])))
 
     def factorizations(i):
         return [(ia, ib) for ia, ib, iab in rows if iab == i and not {ia, ib} & units]
@@ -211,7 +195,7 @@ def test_dropped_element_is_a_missing_composite(instance_e):
         a, b = G.elements[ia], G.elements[ib]
         assert f"composite of {a.label()} and {b.label()} missing" in report.failures
         ja, jb = broken.index_of(a.label()), broken.index_of(b.label())
-        assert (ja, jb) in alg.index_arrays(broken).missing
+        assert (ja, jb) in broken.composition[1]
         with pytest.raises(KeyError, match="composite of"):
             broken.product(ja, jb)
         with pytest.raises(KeyError, match="composite of"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -239,17 +240,31 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def count_builds(monkeypatch, owner, name) -> list:
+    """The instances that the cached property `name` of `owner` is built for, in order."""
+    builds, real = [], vars(owner)[name].func
+
+    def spy(self):
+        builds.append(self)
+        return real(self)
+
+    prop = cached_property(spy)
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
+    return builds
+
+
 LINE_12 = kg.enumerate_path_space(kg.load_skeleton(line_document(12)))
 
 
 def test_the_axiom_check_walks_no_composable_pairs_on_built_groupoids(monkeypatch):
-    calls = count_calls(monkeypatch, FiniteGroupoid, "composites")
+    calls = count_builds(monkeypatch, FiniteGroupoid, "composition")
     for G in [*built(LINE_12), EXACT["grid-2x2-full"], EXACT["e-boundary"]]:
         assert kg.verify_groupoid_axioms(G).passed
     assert calls == []
     broken = FiniteGroupoid(LINE_12, dropped_element(kg.build_path_groupoid(LINE_12), 3))
     assert not kg.verify_groupoid_axioms(broken).passed
-    assert calls == [1]
+    assert calls == [broken]
 
 
 def test_the_regular_representation_makes_one_product_per_element(monkeypatch):

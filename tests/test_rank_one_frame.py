@@ -1,4 +1,4 @@
-"""The rank-1 columns of `IndexArrays` and the one frame the Cuntz-Krieger suite lifts.
+"""The rank-1 edge columns and the one frame the Cuntz-Krieger suite lifts.
 
 `verify_cuntz_krieger` decomposes the indicator of the regular vertices once
 per call into the frame (delta_e, delta_e), forms each projection
@@ -96,10 +96,10 @@ def test_the_decomposition_still_guards_the_cuntz_krieger_suite(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SKELETONS))
 def test_the_edge_columns_are_the_skeleton_columns(name):
     sk = SKELETONS[name]
-    arrays = alg.index_arrays(kg.build_path_groupoid(kg.enumerate_path_space(sk)))
+    edge_range, edge_source = alg._edge_ends(sk)
     column = [v.id for v in sk.vertices].index
-    assert arrays.edge_range.tolist() == [column(e.range) for e in sk.edges]
-    assert arrays.edge_source.tolist() == [column(e.source) for e in sk.edges]
+    assert edge_range.tolist() == [column(e.range) for e in sk.edges]
+    assert edge_source.tolist() == [column(e.source) for e in sk.edges]
 
 
 values = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e6, allow_infinity=False))
