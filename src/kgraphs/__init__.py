@@ -39,7 +39,6 @@ from .boundary import (
     ExhaustiveSet,
     ExhaustivenessResult,
     FinitePathSpace,
-    PathSpaceElement,
     VertexClassification,
     boundary_paths,
     boundary_report,

@@ -215,7 +215,7 @@ def edge_operator(G: FiniteGroupoid, xi: EdgeFunction) -> AlgebraElement:
 def _restriction(G, boundary_G):
     """The elements of G whose endpoints are boundary paths, and their indices in boundary_G."""
     bspace = boundary_G.space
-    at = [bspace.index_of(el.path) if el.path in bspace else None for el in G.space.elements]
+    at = [bspace.index_of(x) if x in bspace else None for x in G.space.elements]
     labels = [(at[x], m, at[y]) for x, m, y in G.labels]
     kept = [(i, boundary_G.index_of(x)) for i, x in enumerate(labels) if None not in x]
     return np.array(kept, dtype=np.intp).reshape(-1, 2).T
@@ -437,13 +437,13 @@ def verify_cuntz_krieger(
     rng = np.random.default_rng(seed)
     deviation, notes, degree_zero = 0.0, "", []
     for path_idx, elem_idx in boundary_G.unit_index.items():
-        el = boundary_G.space.elements[path_idx]
-        if el.path.degree.total == 0:
+        x = boundary_G.space.elements[path_idx]
+        if x.degree.total == 0:
             degree_zero.append(elem_idx)
-            if el.path.range not in classes.sources:
-                notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
+            if x.range not in classes.sources:
+                notes = f"degree-0 boundary path at non-source vertex {x.range}"
     frame = rank_one_decomposition(sk, VertexFunction.indicator(classes.regular))
-    at_range = np.array([vertex[el.path.range] for el in boundary_G.space], dtype=np.intp)[boundary_G.x]
+    at_range = np.array([vertex[x.range] for x in boundary_G.space], dtype=np.intp)[boundary_G.x]
     projections = np.zeros((1, len(boundary_G)), complex)  # the sum of the P_e
     for _, eta in frame if samples > 0 else ():
         columns, values = [edge[e] for e in eta.values], [[*eta.values.values()]]
@@ -566,7 +566,7 @@ def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
     space, joined = G.space, G.space.index_of_factors
     s, shorter, length = {}, {}, 0  # s_x of one length, and of the tails one edge shorter
     for i in sorted(range(len(space)), key=lambda i: space.elements[i].degree.total):
-        x = space.elements[i].path
+        x = space.elements[i]
         if x.degree.total > length:
             shorter, s, length = s, {}, x.degree.total
         if x.is_vertex:
@@ -574,7 +574,7 @@ def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
         else:
             s[i] = convolve(edge[x.word[0]], shorter[space.index_of(space.factors[i][(1,)][1])])
         tails = space.by_range[source(space.skeleton, x)]
-        xz = [(joined.get((x, space.elements[z].path)), z) for z in tails]
+        xz = [(joined.get((x, space.elements[z])), z) for z in tails]
         cylinder = [G.index_of((a, x.degree.coords, z)) for a, z in xz if a is not None]
         if s[i].coefficients != dict.fromkeys(cylinder, 1):
             return False

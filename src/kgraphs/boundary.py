@@ -5,9 +5,11 @@ paths, and a set is exhaustive at v iff it holds a prefix of every maximal
 path at v, the one rule of `is_exhaustive`, `minimal_exhaustive_sets` and
 the boundary certificates (`_prefix_rows`); only a bounded `is_exhaustive`
 sweeps paths pairwise, as its paths may have no maximal extension.  On
-cyclic skeletons only a truncated view is available: elements are prefix
-classes up to a degree bound, with per-color markers recording whether
-extensions continue past the bound or run forever (`Skeleton.cycle_colors`).
+cyclic skeletons only a truncated view is available: its elements are the
+paths up to a degree bound, each standing for its class of extensions.  The
+per-color markers of a class, whether extensions continue past the bound or
+run forever (`Skeleton.cycle_colors`), are properties of the path's source,
+read off there where the element is written (`FinitePathSpace.element_json`).
 
 Each `FinitePathSpace` owns the one table of its elements' (head, tail)
 splits, built on first use from one-letter splits (`factors`,
@@ -112,7 +114,7 @@ def _prefix_rows(sk: Skeleton, vertex_id: str, space: FinitePathSpace | None = N
             heads[i] = {i}.union(*(heads[at[h]] for _, h, _ in _one_letter_cuts(sk, pool[i])))
     else:
         ids = space.by_range[vertex_id]
-        pool = [space.elements[i].path for i in ids]
+        pool = [space.elements[i] for i in ids]
         at = {id(p): i for i, p in enumerate(pool)}  # the heads in `factors` are these objects
         heads = [(at[id(h)] for h, _ in space.factors[i].values()) for i in ids]
     rows = [
@@ -173,53 +175,13 @@ def minimal_exhaustive_sets(
     )
 
 
-@dataclass(frozen=True)
-class PathSpaceElement:
-    """A path-space point, or in truncated mode a prefix class.
-
-    Exact elements are plain paths.  A truncated element records the path
-    seen up to the bound plus, per color, whether extensions continue past
-    it (`extendable`) and whether they can continue forever (`unbounded`:
-    the color is in `Skeleton.cycle_colors` at the tail's source).
-    """
-
-    path: Path
-    truncated: bool = False
-    extendable: tuple[bool, ...] | None = None
-    unbounded: tuple[bool, ...] | None = None
-
-    @property
-    def degree(self) -> Degree:
-        return self.path.degree
-
-    @property
-    def extended_degree(self) -> tuple[int | float, ...]:
-        """Recorded degree with `inf` where the class grows without bound."""
-        if not self.truncated or self.unbounded is None:
-            return self.path.degree.coords
-        return tuple(
-            float("inf") if unb else c
-            for c, unb in zip(self.path.degree.coords, self.unbounded)
-        )
-
-    def to_json(
-        self, factors: dict[tuple[int, ...], tuple[Path, Path]], memo: dict | None = None
-    ) -> dict:
-        """Serialize, given the element's row of its space's `factors` table; a shared
-        `memo` converts each prefix once."""
-        memo = {} if memo is None else memo
-        out: dict = {
-            "degree": [c if c != float("inf") else "inf" for c in self.extended_degree],
-            "prefixes": [[list(m), _json(memo, head)] for m, (head, _) in sorted(factors.items())],
-            "truncated": self.truncated,
-        }
-        if self.truncated:
-            out["extendable"] = list(self.extendable or ())
-        return out
-
-
 class FinitePathSpace:
-    """An enumerated path space, exact or truncated at a bound; or a `parent`'s restriction."""
+    """An enumerated path space, exact or truncated at a bound; or a `parent`'s restriction.
+
+    Its elements are paths.  In a truncated space each stands for the class of
+    its extensions; what the bound hides depends on the path's source alone,
+    and `element_json` reads it off there.
+    """
 
     def __init__(
         self,
@@ -232,9 +194,9 @@ class FinitePathSpace:
             raise ValueError(f"mode must be 'exact' or 'truncated', got {mode!r}")
         self.skeleton = skeleton
         self.mode = mode
-        self.elements: tuple[PathSpaceElement, ...] = tuple(elements)
+        self.elements: tuple[Path, ...] = tuple(elements)
         self.parent = parent
-        self._index = {el.path: i for i, el in enumerate(self.elements)}
+        self._index = {p: i for i, p in enumerate(self.elements)}
         self._sets: dict[str, tuple[ExhaustiveSet, ...]] = {}
         self._obligations: dict[int, list] = {}
 
@@ -250,6 +212,25 @@ class FinitePathSpace:
     def __contains__(self, p: Path) -> bool:
         return p in self._index
 
+    def element_json(self, i: int, memo: dict | None = None) -> dict:
+        """Element i's degree, prefixes (its row of `factors`) and truncation; a shared
+        `memo` converts each prefix once.  In a truncated space, its source's markers:
+        per color whether an edge extends it (`extendable`), and an "inf" degree
+        coordinate where the color grows forever (`Skeleton.cycle_colors`)."""
+        memo, x, row = {} if memo is None else memo, self.elements[i], self.factors[i]
+        out: dict = {
+            "degree": list(x.degree.coords),
+            "prefixes": [[list(m), _json(memo, head)] for m, (head, _) in sorted(row.items())],
+            "truncated": not self.is_exact,
+        }
+        if not self.is_exact:
+            sk = self.skeleton
+            tail, colors = pth.source(sk, x), range(1, sk.rank + 1)
+            grows = sk.cycle_colors[tail]
+            out["degree"] = ["inf" if c in grows else n for c, n in zip(colors, out["degree"])]
+            out["extendable"] = [any(e.color == c for e in sk.edges_by_range[tail]) for c in colors]
+        return out
+
     @cached_property
     def factors(self) -> tuple[dict[tuple[int, ...], tuple[Path, Path]], ...]:
         """factors[i][m.coords] is factorize(x_i, m), for every m <= d(x_i).
@@ -261,8 +242,8 @@ class FinitePathSpace:
         """
         if self.parent is not None:
             rows, at = self.parent.factors, self.parent.index_of
-            return tuple(rows[at(el.path)] for el in self.elements)
-        sk, paths, index = self.skeleton, [el.path for el in self.elements], self._index
+            return tuple(rows[at(x)] for x in self.elements)
+        sk, paths, index = self.skeleton, self.elements, self._index
         cuts: dict[tuple[int, int], tuple[int, str]] = {}  # (x, c) -> (index of x', letter g)
         appended: dict[tuple[int, str], int] = {}  # (id of x', letter g) -> index of x'.g
         for i, x in enumerate(paths):
@@ -291,8 +272,8 @@ class FinitePathSpace:
     def by_range(self) -> dict[str, list[int]]:
         """by_range[v] lists the indices of the elements with range v, ascending."""
         out: dict[str, list[int]] = {}
-        for i, el in enumerate(self.elements):
-            out.setdefault(el.path.range, []).append(i)
+        for i, x in enumerate(self.elements):
+            out.setdefault(x.range, []).append(i)
         return out
 
     @property
@@ -324,13 +305,6 @@ def _one_letter_cuts(sk: Skeleton, x: Path):
         yield c, head, tail.blocks[c][0]
 
 
-def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
-    tail, colors = pth.source(sk, p), range(1, sk.rank + 1)
-    extendable = tuple(any(e.color == c for e in sk.edges_by_range[tail]) for c in colors)
-    unbounded = tuple(c in sk.cycle_colors[tail] for c in colors)
-    return PathSpaceElement(p, truncated=True, extendable=extendable, unbounded=unbounded)
-
-
 def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePathSpace:
     """Enumerate the path space: exact when no bound is given (needs acyclicity)."""
     if bound is None:
@@ -338,18 +312,13 @@ def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePat
             raise ExactModeError(
                 "cyclic skeleton: the path space is infinite, pass a truncation bound"
             )
-        elements = [PathSpaceElement(p) for p in pth.enumerate_paths(sk)]
-        return FinitePathSpace(sk, "exact", elements)
-    pool = pth.enumerate_paths(sk, bound)
-    return FinitePathSpace(sk, "truncated", [_truncated_element(sk, p) for p in pool])
+        return FinitePathSpace(sk, "exact", pth.enumerate_paths(sk))
+    return FinitePathSpace(sk, "truncated", pth.enumerate_paths(sk, bound))
 
 
-def prepend(sk: Skeleton, lam: Path, x: PathSpaceElement) -> PathSpaceElement:
-    """Extend the element by a path on the range side; s(lam) must be r(x)."""
-    combined = pth.compose(sk, lam, x.path)
-    if x.truncated:
-        return PathSpaceElement(combined, True, x.extendable, x.unbounded)
-    return PathSpaceElement(combined)
+def prepend(sk: Skeleton, lam: Path, x: Path) -> Path:
+    """Extend the element by a path on the range side, lam.x; s(lam) must be r(x)."""
+    return pth.compose(sk, lam, x)
 
 
 def _json(memo: dict, p: Path | tuple[Path, ...]):
@@ -388,9 +357,7 @@ class BoundaryCertificate:
         return {"status": self.status, "entries": entries}
 
 
-def is_boundary(
-    space: FinitePathSpace, x: PathSpaceElement | Path
-) -> tuple[bool | None, BoundaryCertificate]:
+def is_boundary(space: FinitePathSpace, x: Path) -> tuple[bool | None, BoundaryCertificate]:
     """Decide boundary membership of an exact element, with a certificate.
 
     For every position m along the path and every minimal exhaustive set at
@@ -399,11 +366,10 @@ def is_boundary(
     must be an element of the space.  Truncated spaces cannot settle this;
     the certificate then says so and the boolean is None.
     """
-    el = x if isinstance(x, PathSpaceElement) else PathSpaceElement(x)
-    if not space.is_exact or el.truncated:
+    if not space.is_exact:
         return None, BoundaryCertificate("undecided_at_bound", ())
     entries: list[BoundaryEntry] = []
-    for m, (_, tail) in space.factors[space.index_of(el.path)].items():
+    for m, (_, tail) in space.factors[space.index_of(x)].items():
         at = Degree(m)
         for members, witness in space.obligations(tail):
             entries.append(BoundaryEntry(at, tail.range, members, witness))
@@ -424,7 +390,7 @@ def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     if not space.is_exact:
         raise ExactModeError("boundary paths are only decidable in exact mode")
     sk = space.skeleton
-    kept = [el for el in space.elements if not sk.edges_by_range[pth.source(sk, el.path)]]
+    kept = [x for x in space.elements if not sk.edges_by_range[pth.source(sk, x)]]
     return FinitePathSpace(sk, "exact", kept, parent=space)
 
 
@@ -432,9 +398,9 @@ def boundary_report(space: FinitePathSpace) -> dict:
     """Serializable boundary listing with certificates and vertex classes."""
     memo: dict = {}  # each prefix, member list and witness is converted once, and shared
     members = [
-        {"element": el.to_json(row, memo), "boundary": verdict, "certificate": cert.to_json(memo)}
-        for el, row in zip(space.elements, space.factors)
-        for verdict, cert in [is_boundary(space, el)]
+        {"element": space.element_json(i, memo), "boundary": verdict, "certificate": cert.to_json(memo)}
+        for i, x in enumerate(space.elements)
+        for verdict, cert in [is_boundary(space, x)]
     ]
     return {
         "classification": classify_vertices(space.skeleton).to_json(),

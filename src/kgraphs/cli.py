@@ -99,11 +99,11 @@ def _json_chunks(payload) -> Iterable[str]:
 
 
 def _emit(args: argparse.Namespace, payload, text_lines=None) -> None:
-    """Write the payload as JSON, or the text lines under `--format text`."""
+    """Write the payload as JSON, or under `--format text` the lines `text_lines()` yields."""
     if text_lines is None or args.format == "json":
         _write(args, _json_chunks(payload))
     else:
-        _write(args, ("\n".join(text_lines) + "\n",))
+        _write(args, ("\n".join(text_lines()) + "\n",))
 
 
 def _load_valid(args: argparse.Namespace) -> Skeleton | None:
@@ -137,16 +137,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "associativity": hexagons.to_json(),
         "acyclic": is_acyclic(sk),
     }
-    ok = squares.passed and hexagons.passed
-    lines = [
-        f"squares: {'pass' if squares.passed else 'FAIL'} ({len(squares.failures)} failures)",
-        f"associativity: {'pass' if hexagons.passed else 'FAIL'} ({len(hexagons.failures)} failures)",
-    ]
-    for report in (squares, hexagons):
-        for f in report.failures:
-            lines.append(f"  {f.kind}: {' '.join(f.items)} {f.message}")
+
+    def lines():
+        for name, report in (("squares", squares), ("associativity", hexagons)):
+            yield f"{name}: {'pass' if report.passed else 'FAIL'} ({len(report.failures)} failures)"
+        for report in (squares, hexagons):
+            for f in report.failures:
+                yield f"  {f.kind}: {' '.join(f.items)} {f.message}"
+
     _emit(args, payload, lines)
-    return 0 if ok else 1
+    return 0 if squares.passed and hexagons.passed else 1
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
@@ -157,7 +157,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
         pth.paths_from(sk, args.vertex, degree) if args.vertex else pth.all_paths(sk, degree)
     )
     payload = {"degree": list(degree.coords), "paths": [p.to_json() for p in found]}
-    _emit(args, payload, [json.dumps(p.to_json(), sort_keys=True) for p in found])
+    _emit(args, payload, lambda: (json.dumps(p, sort_keys=True) for p in payload["paths"]))
     return 0
 
 
@@ -176,9 +176,11 @@ def cmd_lambda_min(args: argparse.Namespace) -> int:
 
 
 def cmd_exhaustive(args: argparse.Namespace) -> int:
+    vertex, members = args.vertex, args.members
+    if args.minimal and (members is not None or args.bound is not None):
+        raise ValueError("--minimal lists the sets at a finite vertex: it takes no --members or --bound")
     if (sk := _load_valid(args)) is None:
         return 1
-    vertex, members = args.vertex, args.members
     if args.minimal:
         sets = bnd.minimal_exhaustive_sets(sk, vertex)
         payload = {
@@ -206,25 +208,28 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
+    if args.bound is not None and args.format == "text":
+        raise ValueError("a truncated listing is written as JSON only: --bound takes no --format text")
     if (sk := _load_valid(args)) is None:
         return 1
     space = bnd.enumerate_path_space(sk, bound=args.bound)
     if space.is_exact:
         payload = bnd.boundary_report(space)
-        lines = None
-        if args.format == "text":
-            lines = [f"vertex classes: regular={list(payload['classification']['regular'])}"]
+
+        def lines():
+            yield f"vertex classes: regular={list(payload['classification']['regular'])}"
             for member in payload["elements"]:
                 path = json.dumps(member["element"]["prefixes"][-1][1], sort_keys=True)
-                lines.append(f"  {path}: {'boundary' if member['boundary'] else 'interior'}")
-            lines.append(f"boundary size: {payload['boundary_size']}")
+                yield f"  {path}: {'boundary' if member['boundary'] else 'interior'}"
+            yield f"boundary size: {payload['boundary_size']}"
+
         _emit(args, payload, lines)
         return 0
     payload = {
         "classification": bnd.classify_vertices(sk).to_json(),
         "mode": "truncated",
         "bound": list(args.bound.coords),
-        "elements": [el.to_json(row) for el, row in zip(space.elements, space.factors)],
+        "elements": [space.element_json(i) for i in range(len(space))],
         "boundary_size": None,
         "note": "boundary membership is undecided at a truncation bound",
     }
@@ -299,11 +304,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         dims_ok = gen_full.passed and gen_boundary.passed
     ok = all(r.passed for r in reports) and dims_ok
     payload["passed"] = ok
-    lines = [
-        f"{r.identity}: {'pass' if r.passed else 'FAIL'} (max deviation {r.max_deviation:.3e})"
-        for r in reports
-    ]
-    lines.append(f"overall: {'pass' if ok else 'FAIL'}")
+
+    def lines():
+        for r in reports:
+            yield f"{r.identity}: {'pass' if r.passed else 'FAIL'} (max deviation {r.max_deviation:.3e})"
+        yield f"overall: {'pass' if ok else 'FAIL'}"
+
     _emit(args, payload, lines)
     return 0 if ok else 1
 

@@ -152,7 +152,7 @@ class FiniteGroupoid:
     def unit_vertex(self) -> tuple[np.ndarray, np.ndarray]:
         """Per unit, its element and its range's column in `sk.vertices`."""
         vertex, points = _columns(self.space.skeleton.vertices), self.space.elements
-        units = [(i, vertex[points[p].path.range]) for p, i in self.unit_index.items()]
+        units = [(i, vertex[points[p].range]) for p, i in self.unit_index.items()]
         return tuple(np.array(units, dtype=np.intp).reshape(-1, 2).T)
 
     @cached_property
@@ -160,8 +160,8 @@ class FiniteGroupoid:
         """Rank 1 only: per path x of positive length, (x, 1, tail of x) and x's first edge's column in
         `sk.edges`.  (elements, columns) of those G has, and (label, column) of those it lacks."""
         space, edge = self.space, _columns(self.space.skeleton.edges)
-        arrows = [((x, (1,), space.index_of(space.factors[x][(1,)][1])), edge[el.path.blocks[0][0]])
-                  for x, el in enumerate(space.elements) if el.path.blocks[0]]
+        arrows = [((x, (1,), space.index_of(space.factors[x][(1,)][1])), edge[p.blocks[0][0]])
+                  for x, p in enumerate(space.elements) if p.blocks[0]]
         kept = [(self.index_of(label), e) for label, e in arrows if label in self]
         return (*np.array(kept, dtype=np.intp).reshape(-1, 2).T, [a for a in arrows if a[0] not in self])
 
@@ -201,8 +201,8 @@ def _columns(items) -> dict[str, int]:
 def _ends(space: FinitePathSpace) -> tuple[list, list]:
     """Per space element, its source's number (in order met) and its degree."""
     sk, number = space.skeleton, {}
-    source = [number.setdefault(pth.source(sk, el.path), len(number)) for el in space.elements]
-    return source, [el.degree.coords for el in space.elements]
+    source = [number.setdefault(pth.source(sk, x), len(number)) for x in space.elements]
+    return source, [x.degree.coords for x in space.elements]
 
 
 def _blocks(keys) -> list[list[int]]:
@@ -300,7 +300,7 @@ def cylinder(G: FiniteGroupoid, lam: Path, mu: Path) -> CylinderSet:
     m = tuple(map(sub, lam.degree.coords, mu.degree.coords))
     elements, joined = G.space.elements, G.space.index_of_factors
     members = [
-        G.index_of((joined[(lam, elements[z].path)], m, joined[(mu, elements[z].path)]))
+        G.index_of((joined[(lam, elements[z])], m, joined[(mu, elements[z])]))
         for z in G.space.by_range.get(at, ())
     ]
     return CylinderSet(lam, mu, tuple(sorted(members)))

@@ -29,6 +29,23 @@ def line_document(n: int) -> dict:
     }
 
 
+def one_cycling_colour_document() -> dict:
+    """Blue loops bu at u and bv at v, a red edge r from v to u, and bu.r = r.bv.
+
+    Only colour 1 cycles; u receives both colours and v only blue.
+    """
+    return {
+        "rank": 2,
+        "vertices": [{"id": "u"}, {"id": "v"}],
+        "edges": [
+            {"id": "bu", "color": 1, "range": "u", "source": "u"},
+            {"id": "bv", "color": 1, "range": "v", "source": "v"},
+            {"id": "r", "color": 2, "range": "u", "source": "v"},
+        ],
+        "squares": [{"first": "bu", "second": "r", "swapped_first": "r", "swapped_second": "bv"}],
+    }
+
+
 def load_instance(name: str) -> kg.Skeleton:
     return kg.load_skeleton(instance_path(name).read_text(encoding="utf-8"))
 

@@ -40,14 +40,16 @@ factorization table.  The pairwise `minimal_extension_pairs` compares every
 The per-element reference layer before the sampled suites moved here from
 `kgraphs` unchanged, once no command or check called it: `segment`,
 `vertex_at`, `minimal_common_extensions` and `alignment_report` (from
-`paths`), `shift` (from `boundary`), `compose_elements`, `invert_element` and
+`paths`), `shift` (from `boundary`; it now shifts paths), `compose_elements`, `invert_element` and
 `cocycle` (from `groupoid`), and the one-element operations and draws of
 `algebra` (`i_norm`, `quotient_restrict`, `gauge_automorphism`,
 `homogeneous_component`, `support_levels`, the `random_*` draws,
 `rank_one_lift`, `cuntz_krieger_sides`).  Each still calls the library
 primitive it restates, so the tests that read them still exercise `kgraphs`.
 So did the object build of the path groupoid, its union-find `orbits` and
-`isotropy`, once the groupoid became columns (`object_path_groupoid`).
+`isotropy`, once the groupoid became columns (`object_path_groupoid`), and
+`PathSpaceElement` with `_truncated_element`, once a path space's elements
+became its paths (`reference_element_json`).
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from kgraphs.boundary import (
     ExhaustiveSet,
     ExhaustivenessResult,
     FinitePathSpace,
-    PathSpaceElement,
+    _json,
     classify_vertices,
     prepend,
 )
@@ -601,7 +603,7 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
             failures.append(f"missing unit at space index {u}")
     for i, g in enumerate(G.elements):
         p, q = g.witness
-        xpath, ypath = G.space.elements[g.x].path, G.space.elements[g.y].path
+        xpath, ypath = G.space.elements[g.x], G.space.elements[g.y]
         if (
             not p <= xpath.degree
             or not q <= ypath.degree
@@ -703,8 +705,8 @@ def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     """Every (x, p - q, y) with equal tails, witnessed by the least p."""
     sk = space.skeleton
     tails = [
-        {m.coords: pth.factorize(sk, el.path, m)[1] for m in degree_box(el.path.degree)}
-        for el in space.elements
+        {m.coords: pth.factorize(sk, x, m)[1] for m in degree_box(x.degree)}
+        for x in space.elements
     ]
     found: dict[tuple, tuple[Degree, Degree]] = {}
     for ix in range(len(space.elements)):
@@ -805,8 +807,8 @@ def union_find_orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
 def object_is_full(G: FiniteGroupoid) -> bool:
     """Are the elements exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once?"""
     sk, space = G.space.skeleton, G.space.elements
-    source = [pth.source(sk, el.path) for el in space]
-    deg = [el.degree.coords for el in space]
+    source = [pth.source(sk, x) for x in space]
+    deg = [x.degree.coords for x in space]
     labels = [g.label() for g in G.elements]
     return len(set(labels)) == len(G) == sum(n * n for n in Counter(source).values()) and all(
         source[g.x] == source[g.y] and g.m == tuple(map(sub, deg[g.x], deg[g.y])) for g in G.elements
@@ -860,12 +862,12 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
         raise ExactModeError("cylinders are only enumerable in exact mode")
     m = tuple(a - b for a, b in zip(lam.degree.coords, mu.degree.coords))
     members = []
-    for el in G.space.elements:
-        if el.path.range != pth.source(sk, lam):
+    for z in G.space.elements:
+        if z.range != pth.source(sk, lam):
             continue
-        xl = prepend(sk, lam, el)
-        xm = prepend(sk, mu, el)
-        members.append(G.index_of((G.space.index_of(xl.path), m, G.space.index_of(xm.path))))
+        xl = prepend(sk, lam, z)
+        xm = prepend(sk, mu, z)
+        members.append(G.index_of((G.space.index_of(xl), m, G.space.index_of(xm))))
     return CylinderSet(lam, mu, tuple(sorted(members)))
 
 
@@ -954,14 +956,76 @@ def rescan_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
     )
 
 
-def segment_is_boundary(space: FinitePathSpace, x, cache: dict):
+# The element representation of the path space before its elements were
+# its paths: a wrapper per element, with the truncation markers copied onto
+# each at enumeration.  `reference_element_json` writes an element through it.
+
+
+@dataclass(frozen=True)
+class PathSpaceElement:
+    """A path-space point, or in truncated mode a prefix class.
+
+    Exact elements are plain paths.  A truncated element records the path
+    seen up to the bound plus, per color, whether extensions continue past
+    it (`extendable`) and whether they can continue forever (`unbounded`:
+    the color is in `Skeleton.cycle_colors` at the tail's source).
+    """
+
+    path: Path
+    truncated: bool = False
+    extendable: tuple[bool, ...] | None = None
+    unbounded: tuple[bool, ...] | None = None
+
+    @property
+    def degree(self) -> Degree:
+        return self.path.degree
+
+    @property
+    def extended_degree(self) -> tuple[int | float, ...]:
+        """Recorded degree with `inf` where the class grows without bound."""
+        if not self.truncated or self.unbounded is None:
+            return self.path.degree.coords
+        return tuple(
+            float("inf") if unb else c
+            for c, unb in zip(self.path.degree.coords, self.unbounded)
+        )
+
+    def to_json(
+        self, factors: dict[tuple[int, ...], tuple[Path, Path]], memo: dict | None = None
+    ) -> dict:
+        """Serialize, given the element's row of its space's `factors` table; a shared
+        `memo` converts each prefix once."""
+        memo = {} if memo is None else memo
+        out: dict = {
+            "degree": [c if c != float("inf") else "inf" for c in self.extended_degree],
+            "prefixes": [[list(m), _json(memo, head)] for m, (head, _) in sorted(factors.items())],
+            "truncated": self.truncated,
+        }
+        if self.truncated:
+            out["extendable"] = list(self.extendable or ())
+        return out
+
+
+def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
+    tail, colors = pth.source(sk, p), range(1, sk.rank + 1)
+    extendable = tuple(any(e.color == c for e in sk.edges_by_range[tail]) for c in colors)
+    unbounded = tuple(c in sk.cycle_colors[tail] for c in colors)
+    return PathSpaceElement(p, truncated=True, extendable=extendable, unbounded=unbounded)
+
+
+def reference_element_json(space: FinitePathSpace, i: int) -> dict:
+    """`space.element_json(i)` through the per-element wrapper."""
+    p = space.elements[i]
+    el = PathSpaceElement(p) if space.is_exact else _truncated_element(space.skeleton, p)
+    return el.to_json(space.factors[i])
+
+
+def segment_is_boundary(space: FinitePathSpace, p: Path, cache: dict):
     """`is_boundary` with vertices and tail prefixes from `vertex_at` / `segment`."""
-    el = x if isinstance(x, PathSpaceElement) else PathSpaceElement(x)
-    if not space.is_exact or el.truncated:
+    if not space.is_exact:
         return None, BoundaryCertificate("undecided_at_bound", ())
     sk = space.skeleton
     entries = []
-    p = el.path
     for m in degree_box(p.degree):
         v = vertex_at(sk, p, m)
         if v not in cache:
@@ -981,7 +1045,7 @@ def segment_is_boundary(space: FinitePathSpace, x, cache: dict):
 def filtered_boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     """The elements `segment_is_boundary` accepts."""
     cache: dict = {}
-    kept = [el for el in space.elements if segment_is_boundary(space, el, cache)[0]]
+    kept = [p for p in space.elements if segment_is_boundary(space, p, cache)[0]]
     return FinitePathSpace(space.skeleton, "exact", kept, parent=space)
 
 
@@ -990,11 +1054,10 @@ def subset_search_boundary_report(space: FinitePathSpace) -> dict:
     sk = space.skeleton
     cache: dict = {}
     members = []
-    for el, row in zip(space.elements, space.factors):
-        verdict, cert = segment_is_boundary(space, el, cache)
-        members.append(
-            {"element": el.to_json(row), "boundary": verdict, "certificate": cert.to_json()}
-        )
+    for i, p in enumerate(space.elements):
+        verdict, cert = segment_is_boundary(space, p, cache)
+        element = reference_element_json(space, i)
+        members.append({"element": element, "boundary": verdict, "certificate": cert.to_json()})
     return {
         "classification": classify_vertices(sk).to_json(),
         "elements": members,
@@ -1083,14 +1146,12 @@ def alignment_report(sk: Skeleton, bound: Degree) -> AlignmentReport:
     return AlignmentReport(bound, pairs, max_size, witness, rank_one, passed)
 
 
-def shift(sk: Skeleton, x: PathSpaceElement, m: Degree) -> PathSpaceElement:
+def shift(sk: Skeleton, x: Path, m: Degree) -> Path:
     """Drop the degree-m prefix: the tail element after m."""
-    if not m <= x.path.degree:
-        raise ValueError(f"cannot shift by {m} past recorded degree {x.path.degree}")
-    _, tail = pth.factorize(sk, x.path, m)
-    if x.truncated:
-        return PathSpaceElement(tail, True, x.extendable, x.unbounded)
-    return PathSpaceElement(tail)
+    if not m <= x.degree:
+        raise ValueError(f"cannot shift by {m} past recorded degree {x.degree}")
+    _, tail = pth.factorize(sk, x, m)
+    return tail
 
 
 def invert_element(G: FiniteGroupoid, g: GroupoidElement) -> GroupoidElement:
@@ -1287,11 +1348,11 @@ def verify_cuntz_krieger(
     notes = ""
     degree_zero = []
     for path_idx, elem_idx in boundary_G.unit_index.items():
-        el = boundary_G.space.elements[path_idx]
-        if el.path.degree.total == 0:
+        x = boundary_G.space.elements[path_idx]
+        if x.degree.total == 0:
             degree_zero.append(elem_idx)
-            if el.path.range not in classes.sources:
-                notes = f"degree-0 boundary path at non-source vertex {el.path.range}"
+            if x.range not in classes.sources:
+                notes = f"degree-0 boundary path at non-source vertex {x.range}"
     for _ in range(samples):
         f = random_vertex_function(rng, regular) if regular else VertexFunction({})
         lhs, rhs = cuntz_krieger_sides(boundary_G, f)

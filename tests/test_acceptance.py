@@ -136,7 +136,7 @@ def test_criterion_03_minimal_extensions_against_oracle(instances):
 def test_criterion_04_boundary_space(rank1_setups, instances):
     sk_b, space_b, _, _ = rank1_setups["b"]
     names = {
-        (el.path.range, el.path.word)
+        (el.range, el.word)
         for el in kg.boundary_paths(space_b)
     }
     assert names == {("v", ("e",)), ("w", ())}
@@ -144,17 +144,17 @@ def test_criterion_04_boundary_space(rank1_setups, instances):
     boundary_e = kg.boundary_paths(space_e)
     assert len(boundary_e) == 3
     assert {
-        (el.path.range, el.path.word) for el in boundary_e
+        (el.range, el.word) for el in boundary_e
     } == orc.rank1_boundary(sk_e)
     # invariance under shift and prepend, exhaustively
     for sk, space, _, _ in rank1_setups.values():
-        members = {el.path for el in kg.boundary_paths(space)}
+        members = set(kg.boundary_paths(space))
         for el in kg.boundary_paths(space):
-            for m in degree_box(el.path.degree):
-                assert orc.shift(sk, el, m).path in members
+            for m in degree_box(el.degree):
+                assert orc.shift(sk, el, m) in members
             for lam in kg.enumerate_paths(sk):
-                if kg.source(sk, lam) == el.path.range:
-                    assert kg.prepend(sk, lam, el).path in members
+                if kg.source(sk, lam) == el.range:
+                    assert kg.prepend(sk, lam, el) in members
     # nonempty on every valid instance with a decidable boundary
     extra = [
         kg.grid_skeleton(1, Degree((2,))).skeleton,

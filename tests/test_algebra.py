@@ -519,7 +519,7 @@ def test_vertex_operator_injective_where_vertices_meet_the_space(setup_b, setup_
     # disjoint supports, so the representation is injective there.
     for sk, space, G, Gb in (setup_b, setup_e):
         for gpd in (G, Gb):
-            reachable = {el.path.range for el in gpd.space.elements}
+            reachable = {el.range for el in gpd.space.elements}
             supports = {}
             for v in sorted(reachable):
                 op = kg.vertex_operator(gpd, VertexFunction.delta(v))

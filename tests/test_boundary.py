@@ -142,7 +142,7 @@ def test_minimal_sets_are_an_antichain(instance_e):
 def test_exact_space_two_vertex(instance_b):
     space = kg.enumerate_path_space(instance_b)
     assert len(space) == 3
-    assert {el.path for el in space} == {
+    assert set(space) == {
         kg.vertex_path(instance_b, "v"),
         kg.vertex_path(instance_b, "w"),
         kg.edge_path(instance_b, "e"),
@@ -156,35 +156,36 @@ def test_exact_space_rejects_cycles(instance_a):
 
 def test_exact_space_edgeless(edgeless):
     space = kg.enumerate_path_space(edgeless)
-    assert [el.path for el in space] == [kg.vertex_path(edgeless, "u")]
+    assert list(space) == [kg.vertex_path(edgeless, "u")]
 
 
 def test_truncated_space_of_commuting_loops(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((1, 1)))
     assert len(space) == 4
-    assert {el.path.degree.coords for el in space} == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    for el in space:
-        assert el.truncated
-        assert el.extendable == (True, True)
-        assert el.unbounded == (True, True)
-        assert el.extended_degree == (float("inf"), float("inf"))
+    assert {el.degree.coords for el in space} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    for i in range(len(space)):
+        marked = space.element_json(i)
+        assert marked["truncated"] is True
+        assert marked["extendable"] == [True, True]
+        assert marked["degree"] == ["inf", "inf"]
 
 
 def test_truncated_markers_honest_on_acyclic(instance_e):
     space = kg.enumerate_path_space(instance_e, bound=Degree((1,)))
-    for el in space:
-        assert el.unbounded == (False,)
-        tail = kg.source(instance_e, el.path)
-        assert el.extendable == (bool(instance_e.edges_by_range[tail]),)
+    for i, el in enumerate(space):
+        marked = space.element_json(i)
+        assert marked["degree"] == [el.degree.coords[0]]
+        tail = kg.source(instance_e, el)
+        assert marked["extendable"] == [bool(instance_e.edges_by_range[tail])]
 
 
 def test_element_prefix_tables_cohere(instance_e):
     space = kg.enumerate_path_space(instance_e)
-    for el, row in zip(space, space.factors):
-        prefixes = el.to_json(row)["prefixes"]
+    for i, (el, row) in enumerate(zip(space, space.factors)):
+        prefixes = space.element_json(i)["prefixes"]
         assert [m for m, _ in prefixes] == [list(m.coords) for m in degree_box(el.degree)]
         for m, prefix in prefixes:
-            head, tail = kg.factorize(instance_e, el.path, Degree(tuple(m)))
+            head, tail = kg.factorize(instance_e, el, Degree(tuple(m)))
             assert prefix == head.to_json() and head.degree.coords == tuple(m)
             assert row[tuple(m)] == (head, tail)
 
@@ -196,16 +197,16 @@ def test_shift_to_source(instance_b):
     space = kg.enumerate_path_space(instance_b)
     e = space.elements[space.index_of(kg.edge_path(instance_b, "e"))]
     shifted = orc.shift(instance_b, e, Degree((1,)))
-    assert shifted.path == kg.vertex_path(instance_b, "w")
+    assert shifted == kg.vertex_path(instance_b, "w")
     assert orc.shift(instance_b, e, Degree((0,))) == e
 
 
 def test_shift_composes(instance_e):
     space = kg.enumerate_path_space(instance_e)
     for el in space:
-        for m in degree_box(el.path.degree):
+        for m in degree_box(el.degree):
             once = orc.shift(instance_e, el, m)
-            for n in degree_box(once.path.degree):
+            for n in degree_box(once.degree):
                 assert orc.shift(instance_e, once, n) == orc.shift(
                     instance_e, el, m + n
                 )
@@ -220,28 +221,29 @@ def test_shift_rejects_overrun(instance_b):
 
 def test_shift_truncated_class(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((1, 1)))
-    full = next(el for el in space if el.path.degree == Degree((1, 1)))
+    full = next(el for el in space if el.degree == Degree((1, 1)))
     smaller = orc.shift(instance_a, full, Degree((1, 0)))
-    assert smaller.path.degree == Degree((0, 1))
-    assert smaller.truncated and smaller.unbounded == (True, True)
+    assert smaller.degree == Degree((0, 1))
+    marked = space.element_json(space.index_of(smaller))
+    assert marked["truncated"] is True and marked["degree"] == ["inf", "inf"]
 
 
 def test_prepend_identities(instance_b):
     space = kg.enumerate_path_space(instance_b)
     w = space.elements[space.index_of(kg.vertex_path(instance_b, "w"))]
     e = kg.edge_path(instance_b, "e")
-    assert kg.prepend(instance_b, e, w).path == e
+    assert kg.prepend(instance_b, e, w) == e
     x = space.elements[space.index_of(e)]
     assert kg.prepend(instance_b, kg.vertex_path(instance_b, "v"), x) == x
 
 
 def test_prepend_then_shift_recovers(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((0, 1)))
-    r_el = next(el for el in space if el.path == kg.edge_path(instance_a, "r"))
+    r_el = next(el for el in space if el == kg.edge_path(instance_a, "r"))
     b = kg.edge_path(instance_a, "b")
     combined = kg.prepend(instance_a, b, r_el)
-    assert combined.path.degree == Degree((1, 1))
-    assert orc.shift(instance_a, combined, b.degree).path == r_el.path
+    assert combined.degree == Degree((1, 1))
+    assert orc.shift(instance_a, combined, b.degree) == r_el
 
 
 # --- boundary membership ------------------------------------------------
@@ -274,7 +276,7 @@ def test_boundary_undecided_when_truncated(instance_a):
 def test_boundary_set_two_vertex(instance_b):
     space = kg.enumerate_path_space(instance_b)
     bp = kg.boundary_paths(space)
-    assert {el.path for el in bp} == {
+    assert set(bp) == {
         kg.edge_path(instance_b, "e"),
         kg.vertex_path(instance_b, "w"),
     }
@@ -284,14 +286,14 @@ def test_boundary_set_two_vertex(instance_b):
 def test_boundary_set_edgeless(edgeless):
     space = kg.enumerate_path_space(edgeless)
     bp = kg.boundary_paths(space)
-    assert [el.path for el in bp] == [kg.vertex_path(edgeless, "u")]
+    assert list(bp) == [kg.vertex_path(edgeless, "u")]
 
 
 def test_boundary_set_three_vertex_line(instance_e):
     space = kg.enumerate_path_space(instance_e)
     bp = kg.boundary_paths(space)
     assert len(bp) == 3
-    got = {(el.path.range, el.path.word) for el in bp}
+    got = {(el.range, el.word) for el in bp}
     assert got == orc.rank1_boundary(instance_e)
 
 
@@ -299,7 +301,7 @@ def test_boundary_matches_raw_definition(instance_b, instance_e):
     for sk in (instance_b, instance_e):
         space = kg.enumerate_path_space(sk)
         got = {
-            (el.path.range, el.path.word) for el in kg.boundary_paths(space)
+            (el.range, el.word) for el in kg.boundary_paths(space)
         }
         assert got == orc.rank1_boundary(sk)
 
@@ -309,13 +311,13 @@ def test_boundary_invariance(instance_b, instance_e):
     for sk in (instance_b, instance_e):
         space = kg.enumerate_path_space(sk)
         bp = kg.boundary_paths(space)
-        boundary = {el.path for el in bp}
+        boundary = set(bp)
         for el in bp:
-            for m in degree_box(el.path.degree):
-                assert orc.shift(sk, el, m).path in boundary
+            for m in degree_box(el.degree):
+                assert orc.shift(sk, el, m) in boundary
             for lam in kg.enumerate_paths(sk):
-                if kg.source(sk, lam) == el.path.range:
-                    assert kg.prepend(sk, lam, el).path in boundary
+                if kg.source(sk, lam) == el.range:
+                    assert kg.prepend(sk, lam, el) in boundary
 
 
 def test_boundary_nonempty_on_valid_instances(instance_b, instance_e, edgeless):
@@ -369,11 +371,11 @@ def test_truncated_markers_on_a_long_line_equal_the_oracle():
     ]
     sk = kg.load_skeleton(doc)
     space = kg.enumerate_path_space(sk, Degree((2,)))
-    tails = {kg.source(sk, el.path) for el in space}
+    tails = {kg.source(sk, el) for el in space}
     grows = {v: 1 in orc.reachable_cycle_colors(sk, v) for v in tails}
-    for el in space:
-        tail = kg.source(sk, el.path)
-        assert el.extendable == (bool(sk.edges_by_range[tail]),)
-        assert el.unbounded == (grows[tail],)
-        assert el.extended_degree == (float("inf") if grows[tail] else el.degree.coords[0],)
+    for i, el in enumerate(space):
+        tail = kg.source(sk, el)
+        marked = space.element_json(i)
+        assert marked["extendable"] == [bool(sk.edges_by_range[tail])]
+        assert marked["degree"] == ["inf" if grows[tail] else el.degree.coords[0]]
     assert list(grows.values()).count(False) == 1 and len(space) > 600

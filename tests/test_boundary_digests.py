@@ -5,7 +5,10 @@ exit code must not move.  The report lists every element with its prefixes
 and its boundary verdict, the vertex classes and the minimal exhaustive sets,
 so a change to the element order, to the factorization table or to the
 exhaustive-set search shows up here.  The tree and grid reports are longer
-than one block, so they also pin the re-indented compact text.
+than one block, so they also pin the re-indented compact text.  The
+truncated pins cover the markers a bound adds: finite degrees and sources
+that receive no edge (e at 1), rank 3 (c), and "inf" beside finite
+coordinates with `extendable` differing by source (one cycling colour).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 
 from kgraphs.cli import main
 
-from conftest import instance_path
+from conftest import instance_path, one_cycling_colour_document
 from test_verify_digests import grid_document, tree_document
 
 # name: (instance, options, exit code, sha256 of the report)
@@ -33,6 +36,18 @@ PINS = {
     "a-bound-2-2": (
         "a", ["--bound", "2,2"], 0,
         "9218c61b759c54dd653c933f1abc3a4d224047ee41842d36b0ade001cff33a63",
+    ),
+    "c-bound-1-1-1": (
+        "c", ["--bound", "1,1,1"], 0,
+        "2bd5c32bca03111c26f4acb25be227ddb6a7939bb81bddc0a6208e926ad574a2",
+    ),
+    "e-bound-1": (
+        "e", ["--bound", "1"], 0,
+        "1d77159710d546d6aa23d5e662448c8c18d15df11649b1a364a97947482b03d8",
+    ),
+    "one-cycling-colour-bound-2-1": (
+        one_cycling_colour_document(), ["--bound", "2,1"], 0,
+        "b1014c1dcc44649059390c2e8f8172128de81b2a7ccbb971e6e42dc97cc65168",
     ),
     "tree-13": (
         tree_document(1, 13), [], 0,

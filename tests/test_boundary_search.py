@@ -144,11 +144,12 @@ def check_against_the_subset_search(sk: kg.Skeleton) -> None:
     assert report == json.dumps(orc.subset_search_boundary_report(space), sort_keys=True)
     got = kg.boundary_paths(space)
     sources = set(kg.classify_vertices(sk).sources)
-    by_source_rule = [el for el in space if kg.source(sk, el.path) in sources]
+    by_source_rule = [el for el in space if kg.source(sk, el) in sources]
     assert got.elements == orc.filtered_boundary_paths(space).elements == tuple(by_source_rule)
     assert got.parent is not None and got.is_exact
+    cache: dict = {}
     for el in space:
-        assert kg.is_boundary(space, el.path) == kg.is_boundary(space, el)
+        assert kg.is_boundary(space, el) == orc.segment_is_boundary(space, el, cache)
 
 
 def test_generated_instances_match_the_subset_search(skeleton):
@@ -171,7 +172,7 @@ def test_not_locally_convex_minimal_sets_and_boundary():
     v = kg.vertex_path(sk, "v")
     assert [s.members for s in kg.minimal_exhaustive_sets(sk, "v")] == [(v,), (f, g)]
     space = kg.enumerate_path_space(sk)
-    assert {el.path for el in kg.boundary_paths(space)} == {
+    assert set(kg.boundary_paths(space)) == {
         f, g, kg.vertex_path(sk, "u"), kg.vertex_path(sk, "w")
     }
 
@@ -222,7 +223,7 @@ def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, 
     report = kg.boundary.boundary_report(space)
     for _ in range(3):
         assert [kg.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
-    assert sorted(calls) == sorted({el.path.range for el in space})
+    assert sorted(calls) == sorted({el.range for el in space})
 
 
 @examples(60)

@@ -416,3 +416,45 @@ def test_the_boundary_groupoid_of_a_truncated_space_is_a_usage_error(tmp_path, c
     assert code == 2
     assert stdout == "" and not out.exists()
     assert err == "error: the boundary groupoid needs an exact space: --boundary takes no --bound\n"
+
+
+def test_a_truncated_boundary_listing_in_text_is_a_usage_error(tmp_path, capsys):
+    """Refused before the instance is read: a missing file gives the same line."""
+    for instance in (instance_path("a"), tmp_path / "missing.json"):
+        out = tmp_path / "report.txt"
+        argv = ["boundary", str(instance), "--bound", "1,1", "--format", "text", "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err == "error: a truncated listing is written as JSON only: --bound takes no --format text\n"
+
+
+@pytest.mark.parametrize(
+    "instance, options",
+    [
+        ("e", ["--vertex", "v1", "--minimal", "--bound", "1", "--members", "v1"]),
+        ("e", ["--vertex", "v1", "--minimal", "--members", "v1"]),
+        ("a", ["--vertex", "u", "--minimal", "--bound", "1,1"]),
+        ("missing", ["--vertex", "u", "--minimal", "--bound", "1,1"]),
+    ],
+    ids=["members-and-bound", "members", "bound", "before-loading"],
+)
+def test_minimal_sets_with_members_or_a_bound_are_a_usage_error(tmp_path, capsys, instance, options):
+    path = tmp_path / "missing.json" if instance == "missing" else instance_path(instance)
+    code, out, err = run(capsys, "exhaustive", str(path), *options)
+    assert (code, out) == (2, "")
+    assert err == "error: --minimal lists the sets at a finite vertex: it takes no --members or --bound\n"
+
+
+def test_paths_command_builds_text_lines_only_for_text(capsys, monkeypatch):
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    code, out, _ = run(capsys, "paths", str(instance_path("e")), "--degree", "1")
+    assert code == 0 and len(json.loads(out)["paths"]) == 2
+    json_calls = len(calls)
+    calls.clear()
+    code, out, _ = run(capsys, "paths", str(instance_path("e")), "--degree", "1", "--format", "text")
+    assert code == 0
+    assert out == '{"blocks": [["f2"]], "range": "v1"}\n{"blocks": [["f3"]], "range": "v2"}\n'
+    # JSON output dumps the report once and none of the two path lines.
+    assert len(calls) - json_calls == 2 - 1

@@ -64,7 +64,7 @@ def test_orbits_are_the_source_blocks(space):
     for s in spaces_of(space):
         blocks: dict = {}
         for u, el in enumerate(s.elements):
-            blocks.setdefault(pth.source(s.skeleton, el.path), []).append(u)
+            blocks.setdefault(pth.source(s.skeleton, el), []).append(u)
         assert gpd.orbits(kg.build_path_groupoid(s)) == tuple(sorted(map(tuple, blocks.values())))
 
 
@@ -226,5 +226,5 @@ def test_verify_groupoid_and_boundary_agree_on_sizes_and_blocks(tmp_path_factory
     space = bnd.enumerate_path_space(sk)
     blocks: dict = {}
     for u, el in enumerate(space.elements):
-        blocks.setdefault(pth.source(sk, el.path), []).append(u)
+        blocks.setdefault(pth.source(sk, el), []).append(u)
     assert groupoid["orbits"] == sorted(blocks.values())

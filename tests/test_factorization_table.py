@@ -18,7 +18,7 @@ import kgraphs as kg
 from kgraphs import boundary as bnd
 from kgraphs import groupoid as gpd
 from kgraphs import paths as pth
-from kgraphs.boundary import FinitePathSpace, PathSpaceElement
+from kgraphs.boundary import FinitePathSpace
 from kgraphs.cli import main
 from kgraphs.skeleton import Degree, degree_box
 
@@ -77,7 +77,7 @@ def test_source_blocks_equal_the_tail_join_on_larger_spaces(instance_a, instance
     for name, space in spaces.items():
         G = kg.build_path_groupoid(space)
         assert same_groupoid(G, tail_join_path_groupoid(space)), name
-        blocks = Counter(pth.source(space.skeleton, el.path) for el in space.elements)
+        blocks = Counter(pth.source(space.skeleton, el) for el in space.elements)
         assert len(G) == sum(n * n for n in blocks.values()), name
 
 
@@ -90,8 +90,8 @@ def test_factors_are_factorize_and_index_of_factors_round_trips(spaces):
             assert list(row) == [m.coords for m in degree_box(el.degree)], name
             for m in degree_box(el.degree):
                 head, tail = row[m.coords]
-                assert (head, tail) == pth.factorize(sk, el.path, m)
-                assert pth.compose(sk, head, tail) == el.path
+                assert (head, tail) == pth.factorize(sk, el, m)
+                assert pth.compose(sk, head, tail) == el
                 assert space.index_of_factors[(head, tail)] == i
             splits += len(row)
         assert len(space.index_of_factors) == splits, name
@@ -103,9 +103,9 @@ def test_every_row_is_factorize_and_an_enumerated_space_splits_into_its_own_path
     """The one-letter recursion, split for split, also on boundary restrictions (not prefix-closed)."""
     for s in [space, *([kg.boundary_paths(space)] if space.is_exact else [])]:
         for el, row in zip(s.elements, s.factors):
-            want = [(m.coords, pth.factorize(s.skeleton, el.path, m)) for m in degree_box(el.degree)]
+            want = [(m.coords, pth.factorize(s.skeleton, el, m)) for m in degree_box(el.degree)]
             assert list(row.items()) == want
-    own = {id(el.path) for el in space.elements}
+    own = {id(el) for el in space.elements}
     assert all(id(p) in own for row in space.factors for split in row.values() for p in split)
 
 
@@ -141,8 +141,8 @@ def test_etale_cylinders_equal_the_prepend_oracle(spaces, monkeypatch):
         assert len(visited) == len(set(visited)), f"{name}: a cylinder was built twice"
         witnessed = {
             (
-                pth.factorize(G.space.skeleton, G.space.elements[g.x].path, g.witness[0])[0],
-                pth.factorize(G.space.skeleton, G.space.elements[g.y].path, g.witness[1])[0],
+                pth.factorize(G.space.skeleton, G.space.elements[g.x], g.witness[0])[0],
+                pth.factorize(G.space.skeleton, G.space.elements[g.y], g.witness[1])[0],
             )
             for g in G
         }
@@ -153,7 +153,7 @@ def test_etale_cylinders_equal_the_prepend_oracle(spaces, monkeypatch):
 
 def test_cylinder_over_a_missing_composite_raises_key_error(instance_b):
     w, e = pth.vertex_path(instance_b, "w"), pth.edge_path(instance_b, "e")
-    space = FinitePathSpace(instance_b, "exact", [PathSpaceElement(w)])
+    space = FinitePathSpace(instance_b, "exact", [w])
     G = kg.build_path_groupoid(space)
     assert kg.cylinder(G, w, w).members == (0,)
     for build in (kg.cylinder, prepend_cylinder):

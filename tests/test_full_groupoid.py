@@ -65,7 +65,7 @@ def built(space) -> list[FiniteGroupoid]:
 
 
 def source_counts(space) -> Counter:
-    return Counter(pth.source(space.skeleton, el.path) for el in space.elements)
+    return Counter(pth.source(space.skeleton, el) for el in space.elements)
 
 
 @examples(80)
@@ -108,7 +108,7 @@ def shifted_m(G, h):
 def moved_across_blocks(G, h):
     """(x, m, y) becomes (x, d(x) - d(y'), y') for a y' of another source block."""
     space, g = G.space, G.elements[h]
-    source = [pth.source(space.skeleton, el.path) for el in space.elements]
+    source = [pth.source(space.skeleton, el) for el in space.elements]
     y = next(y for y in range(len(space.elements)) if source[y] != source[g.x])
     m = tuple(a - b for a, b in zip(space.elements[g.x].degree.coords, space.elements[y].degree.coords))
     return [replace(g, m=m, y=y) if i == h else e for i, e in enumerate(G.elements)]
@@ -137,7 +137,7 @@ def test_each_mutant_keeps_the_other_clauses():
     """So each one fails the certificate through its own clause."""
     G = kg.build_path_groupoid(kg.enumerate_path_space(kg.grid_skeleton(2, Degree((2, 1))).skeleton))
     space = G.space
-    source = [pth.source(space.skeleton, el.path) for el in space.elements]
+    source = [pth.source(space.skeleton, el) for el in space.elements]
     degree = [el.degree.coords for el in space.elements]
     for name, (make, _) in MUTANTS.items():
         H = FiniteGroupoid(space, make(G, 5))
@@ -199,7 +199,7 @@ def test_block_tables_equal_the_label_lookups_and_are_shared_per_block(name):
     rep = alg.RegularRepresentation(G)
     assert same_entries(rep.entries, orc.label_regular_entries(G))
     sk, elements = G.space.skeleton, G.space.elements
-    block = {u: pth.source(sk, elements[u].path) for u in rep.entries}
+    block = {u: pth.source(sk, elements[u]) for u in rep.entries}
     for u in rep.entries:
         for v in rep.entries:
             assert (rep.entries[u] is rep.entries[v]) == (block[u] == block[v])
@@ -207,7 +207,7 @@ def test_block_tables_equal_the_label_lookups_and_are_shared_per_block(name):
 
 def units_only_block(G):
     """G with the first source block that has a non-unit cut down to its units: still a groupoid."""
-    source = [pth.source(G.space.skeleton, el.path) for el in G.space.elements]
+    source = [pth.source(G.space.skeleton, el) for el in G.space.elements]
     v = next(source[g.x] for g in G.elements if g.x != g.y)
     return FiniteGroupoid(G.space, [g for g in G.elements if source[g.x] != v or g.x == g.y])
 

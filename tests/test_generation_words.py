@@ -151,7 +151,7 @@ def doubled_long_units(monkeypatch, G):
     at longer x become 4, which only the coefficient check sees.
     """
     real = alg.vertex_operator
-    long_units = [i for p, i in G.unit_index.items() if G.space.elements[p].path.degree.total]
+    long_units = [i for p, i in G.unit_index.items() if G.space.elements[p].degree.total]
 
     def mutant(G, f):
         values = real(G, f).values.copy()
@@ -162,11 +162,11 @@ def doubled_long_units(monkeypatch, G):
 
 
 def vertex_units(G) -> list[int]:
-    return [i for p, i in sorted(G.unit_index.items()) if G.space.elements[p].path.degree.total == 0]
+    return [i for p, i in sorted(G.unit_index.items()) if G.space.elements[p].degree.total == 0]
 
 
 def swapped_units(G) -> tuple[int, int] | None:
-    paths = {i: G.space.elements[i].path for i in G.unit_index}
+    paths = {i: G.space.elements[i] for i in G.unit_index}
     p = next(i for i, path in paths.items() if path.degree.total == 0)
     q = next((i for i, path in paths.items() if path.range != paths[p].range), None)
     return None if q is None else (G.unit_index[p], G.unit_index[q])
@@ -176,7 +176,7 @@ def has_a_twin_tail(G) -> bool:
     return any(
         (x, (1,), j) in G
         for x, el in enumerate(G.space.elements)
-        if el.path.degree.total >= 1
+        if el.degree.total >= 1
         for j in range(len(G.space.elements))
         if j != G.space.index_of(G.space.factors[x][(1,)][1])
     )

@@ -43,7 +43,7 @@ def labels(G, space, sk):
     """Human-readable labels: (x word or vertex, m, y word or vertex)."""
 
     def name(i):
-        p = space.elements[i].path
+        p = space.elements[i]
         return ".".join(p.word) if p.word else p.range
 
     return {(name(g.x), g.m, name(g.y)) for g in G.elements}
@@ -121,15 +121,15 @@ def test_boundary_line_groupoid_is_full_pair_groupoid(Gb_e):
 
 
 def test_boundary_groupoid_is_restriction(space_e, G_e, Gb_e):
-    boundary = {el.path for el in Gb_e.space.elements}
+    boundary = set(Gb_e.space.elements)
     expected = set()
     for g in G_e.elements:
-        xp = space_e.elements[g.x].path
-        yp = space_e.elements[g.y].path
+        xp = space_e.elements[g.x]
+        yp = space_e.elements[g.y]
         if xp in boundary and yp in boundary:
             expected.add((xp, g.m, yp))
     got = {
-        (Gb_e.space.elements[g.x].path, g.m, Gb_e.space.elements[g.y].path)
+        (Gb_e.space.elements[g.x], g.m, Gb_e.space.elements[g.y])
         for g in Gb_e.elements
     }
     assert got == expected
@@ -205,7 +205,7 @@ def test_cylinder_of_vertex_is_local_units(instance_b, space_b, G_b):
     expected = {
         (i, (0,), i)
         for i, el in enumerate(space_b.elements)
-        if el.path.range == "v"
+        if el.range == "v"
     }
     assert got == expected
 
@@ -274,7 +274,7 @@ def test_orbits_of_line_groupoid(instance_e, space_e, G_e):
     by_path = {}
     for part in parts:
         for i in part:
-            by_path[space_e.elements[i].path] = part
+            by_path[space_e.elements[i]] = part
     # The vertex path at v1 has no tail in common with anything else.
     v1 = kg.vertex_path(instance_e, "v1")
     assert by_path[v1] == (space_e.index_of(v1),)

@@ -92,7 +92,7 @@ def test_the_truncated_pool_equals_the_bounded_search_on_cyclic_2graphs(doc, bou
     assume(not kg.is_acyclic(sk))
     assert all(report.passed for report in kg.validate(sk))
     space = kg.enumerate_path_space(sk, bound=Degree(bound))
-    assert tuple(el.path for el in space.elements) == orc.bfs_enumerate_paths(sk, Degree(bound))
+    assert space.elements == orc.bfs_enumerate_paths(sk, Degree(bound))
 
 
 @pytest.mark.parametrize(
@@ -103,7 +103,7 @@ def test_the_truncated_pool_equals_the_bounded_search_on_cyclic_2graphs(doc, bou
 def test_the_truncated_pool_equals_the_bounded_search(name, bound):
     sk = load_instance(name)
     space = kg.enumerate_path_space(sk, bound=Degree(bound))
-    assert tuple(el.path for el in space.elements) == orc.bfs_enumerate_paths(sk, Degree(bound))
+    assert space.elements == orc.bfs_enumerate_paths(sk, Degree(bound))
 
 
 def test_the_walk_keeps_the_guards():
@@ -138,12 +138,12 @@ def test_enumeration_never_rewrites(monkeypatch):
     monkeypatch.setattr(pth, "_normalize", refuse)
     for sk in (grid, tree):
         space = kg.enumerate_path_space(sk)
-        assert tuple(el.path for el in space.elements) == exact[id(sk)]
+        assert space.elements == exact[id(sk)]
         walked = [p for v in sk.vertices for p in kg.paths_with_range(sk, v.id)]
         assert pth.sort_paths(walked) == exact[id(sk)]
     for (sk, bound), pool in zip(bounded, pools):
         space = kg.enumerate_path_space(sk, bound=Degree(bound))
-        assert tuple(el.path for el in space.elements) == pool
+        assert space.elements == pool
         top = [p for v in sk.vertices for p in kg.paths_from(sk, v.id, Degree(bound))]
         assert pth.sort_paths(top) == tuple(p for p in pool if p.degree == Degree(bound))
 

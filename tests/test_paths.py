@@ -441,7 +441,7 @@ def test_paths_at_the_end_of_a_long_line_build_no_reachable_sets():
 )
 def test_source_reads_the_last_letter_of_the_word(name, make):
     sk, bound = make()
-    paths = [el.path for el in kg.enumerate_path_space(sk, bound).elements]
+    paths = list(kg.enumerate_path_space(sk, bound).elements)
     assert any(p.is_vertex for p in paths) and any(not p.is_vertex for p in paths)
     for p in paths:
         assert kg.source(sk, p) == orc.word_source(sk, p.word, p.range)
