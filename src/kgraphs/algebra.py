@@ -23,10 +23,13 @@ The sampled suites (`verify_*`) evaluate each identity once per chunk of
 samples stacked as rows, drawn in the order one sample at a time draws them
 (normals in bulk, draws mixed with `random` or `integers` per sample).  One
 `np.bincount` over the bins ab + |G| row convolves each row as one element,
-so every report equals the per-sample loop's (tests/oracles.py).  `_CHUNK`
-caps a chunk's terms, rows x composable pairs, whatever `samples` is.  The
-Cuntz-Krieger suite lifts one `rank_one_decomposition` per call and sums its
-edge projections S(delta_e) S(delta_e)* once per call.
+so every report equals the per-sample loop's (tests/oracles.py).  The bins
+are a table the groupoid keeps (`FiniteGroupoid.bins`), built once per index
+array and chunk height: a short last chunk reads its prefix, one row the
+index array itself.  `_CHUNK` caps a chunk's terms, rows x composable pairs,
+whatever `samples` is.  The Cuntz-Krieger suite lifts one
+`rank_one_decomposition` per call and sums its edge projections
+S(delta_e) S(delta_e)* once per call.
 
 `generation_check` certifies generation without a span closure: on a full
 groupoid (`FiniteGroupoid.is_full`) the path operators s_x are cylinders, so
@@ -142,25 +145,22 @@ def _check_same_groupoid(f: AlgebraElement, g: AlgebraElement) -> None:
         raise ValueError("elements live on different groupoids")
 
 
-def _row_sums(at, values, width):
-    """Per row r of real `values`, its entries summed into the bins at + width r, in column order.
-
-    The bins are read off an arange, not added: numpy's integer arithmetic would
-    page in 64 KiB of code that nothing else here runs.
-    """
-    bins = np.arange(len(values) * width).reshape(len(values), width)
-    return np.bincount(bins[:, at].ravel(), values.ravel(), bins.size).reshape(bins.shape)
+def _row_sums(G, at, values, width):
+    """Per row r of real `values`, its entries summed into the bins at + width r, in column order:
+    one `np.bincount` over the groupoid's flat bins of the index array `at` (`FiniteGroupoid.bins`)."""
+    rows = len(values)
+    return np.bincount(G.bins(at, rows), values.ravel(), rows * width).reshape(rows, width)
 
 
 def _convolve_rows(G, F, H):
     """Row r of the result is F[r] * H[r]; a one-row F or H pairs with every row of the other."""
-    (a, b, ab), missing = G.composition
+    (a, b, _), missing = G.composition
     for ia, ib in missing:
         if np.any((F[:, ia] != 0) & (H[:, ib] != 0)):
             G.product(ia, ib)  # raises KeyError: the composite is missing
     x, y = F[:, a], H[:, b]  # the split product, one part at a time: fewer temporaries
-    out = _row_sums(ab, x.real * y.real - x.imag * y.imag, len(G)).astype(complex)
-    out.imag = _row_sums(ab, x.real * y.imag + x.imag * y.real, len(G))
+    out = _row_sums(G, "ab", x.real * y.real - x.imag * y.imag, len(G)).astype(complex)
+    out.imag = _row_sums(G, "ab", x.real * y.imag + x.imag * y.real, len(G))
     return out
 
 
@@ -179,7 +179,8 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 
 
 def _i_norms(G, F):
-    sums = [_row_sums(at, _modulus(F), len(G.space)) for at in (G.x, G.y)]
+    modulus = _modulus(F)
+    sums = [_row_sums(G, at, modulus, len(G.space)) for at in "xy"]
     return np.concatenate(sums, axis=1).max(axis=1, initial=0.0)
 
 

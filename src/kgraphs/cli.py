@@ -179,6 +179,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     vertex, members = args.vertex, args.members
     if args.minimal and (members is not None or args.bound is not None):
         raise ValueError("--minimal lists the sets at a finite vertex: it takes no --members or --bound")
+    if not args.minimal and members is None:
+        raise ValueError("--members is required unless --minimal is given")
     if (sk := _load_valid(args)) is None:
         return 1
     if args.minimal:
@@ -191,8 +193,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         }
         _emit(args, payload)
         return 0
-    if members is None:
-        raise ValueError("--members is required unless --minimal is given")
     member_paths = [
         _parse_path(sk, tok) for tok in members.split(";") if tok.strip()
     ]
@@ -225,11 +225,12 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
         _emit(args, payload, lines)
         return 0
+    memo: dict = {}  # each prefix is converted once, and shared, as in `boundary_report`
     payload = {
         "classification": bnd.classify_vertices(sk).to_json(),
         "mode": "truncated",
         "bound": list(args.bound.coords),
-        "elements": [space.element_json(i) for i in range(len(space))],
+        "elements": [space.element_json(i, memo) for i in range(len(space))],
         "boundary_size": None,
         "note": "boundary membership is undecided at a truncation bound",
     }

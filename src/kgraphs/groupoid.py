@@ -7,7 +7,8 @@ order; witnesses (`least_witness`) and element objects are made on first use.
 A hand-built list is sorted into the same arrays and keeps its witnesses.
 Products are label sums, so the axiom check needs closure (`is_full`), units,
 inverses and distinct labels, never triples.  The index arrays that the
-convolution algebra gathers through are cached properties, built on first use.
+convolution algebra gathers through are cached properties, built on first use;
+each one's table of stacked bins (`bins`) is too, at the height asked for.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class FiniteGroupoid:
             columns = [[getattr(g, c) for g in self.elements] for c in "xmy"]
         x, m, y = (np.asarray(c, dtype=np.intp) for c in columns)
         self.x, self.m, self.y = x, m.reshape(len(x), self.rank), y
+        self._bins: dict[str, np.ndarray] = {}  # `bins`, per index array at the tallest height asked for
 
     def __len__(self) -> int:
         return len(self.x)
@@ -135,6 +137,22 @@ class FiniteGroupoid:
                 else:
                     known.append((a, b, ab))
         return tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T), missing
+
+    def bins(self, name: str, rows: int) -> np.ndarray:
+        """Flat bins for `rows` stacked rows of the index array `name`: at + width r in row r.
+
+        `name` is "ab", the composites of `composition` (width |G|), or "x" or "y" (width |space|).
+        A table is built on first use and kept until more rows are asked for; fewer rows read its
+        prefix (rows are stored row-major), and one row reads the index array itself: no table.
+        """
+        at = self.composition[0][2] if name == "ab" else getattr(self, name)
+        if rows == 1:
+            return at
+        size, table = rows * len(at), self._bins.get(name)
+        if table is None or len(table) < size:  # read off an arange: numpy's integer adds page in 64 KiB more
+            width = len(self) if name == "ab" else len(self.space)
+            table = self._bins[name] = np.arange(rows * width).reshape(rows, width)[:, at].ravel()
+        return table[:size]
 
     @cached_property
     def inverse_array(self) -> np.ndarray:

@@ -49,7 +49,8 @@ primitive it restates, so the tests that read them still exercise `kgraphs`.
 So did the object build of the path groupoid, its union-find `orbits` and
 `isotropy`, once the groupoid became columns (`object_path_groupoid`), and
 `PathSpaceElement` with `_truncated_element`, once a path space's elements
-became its paths (`reference_element_json`).
+became its paths (`reference_element_json`), and the row kernels' per-call
+bins, once the groupoid kept them (`per_call_row_sums`).
 """
 
 from __future__ import annotations
@@ -568,6 +569,33 @@ def label_involution(f: AlgebraElement) -> AlgebraElement:
             for i, c in f.coefficients.items()
         },
     )
+
+
+# The row kernels of `kgraphs.algebra` as they were before the groupoid kept
+# its bins (`FiniteGroupoid.bins`): every call builds its own bins from an
+# arange.  The references for `_convolve_rows` and `_i_norms`, bit for bit.
+
+
+def per_call_row_sums(at, values, width):
+    """Per row r of real `values`, its entries summed into the bins at + width r, in column order."""
+    bins = np.arange(len(values) * width).reshape(len(values), width)
+    return np.bincount(bins[:, at].ravel(), values.ravel(), bins.size).reshape(bins.shape)
+
+
+def per_call_convolve_rows(G: FiniteGroupoid, F: np.ndarray, H: np.ndarray) -> np.ndarray:
+    (a, b, ab), missing = G.composition
+    for ia, ib in missing:
+        if np.any((F[:, ia] != 0) & (H[:, ib] != 0)):
+            G.product(ia, ib)  # raises KeyError: the composite is missing
+    x, y = F[:, a], H[:, b]
+    out = per_call_row_sums(ab, x.real * y.real - x.imag * y.imag, len(G)).astype(complex)
+    out.imag = per_call_row_sums(ab, x.real * y.imag + x.imag * y.real, len(G))
+    return out
+
+
+def per_call_i_norms(G: FiniteGroupoid, F: np.ndarray) -> np.ndarray:
+    sums = [per_call_row_sums(at, _modulus(F), len(G.space)) for at in (G.x, G.y)]
+    return np.concatenate(sums, axis=1).max(axis=1, initial=0.0)
 
 
 # The groupoid axioms by exhaustive loops over a successor table built from

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+import kgraphs as kg
+from kgraphs.boundary import FinitePathSpace
 from kgraphs.cli import build_parser, main
+from kgraphs.paths import Path
 
 from conftest import instance_path
 
@@ -458,3 +461,34 @@ def test_paths_command_builds_text_lines_only_for_text(capsys, monkeypatch):
     assert out == '{"blocks": [["f2"]], "range": "v1"}\n{"blocks": [["f3"]], "range": "v2"}\n'
     # JSON output dumps the report once and none of the two path lines.
     assert len(calls) - json_calls == 2 - 1
+
+
+@pytest.mark.parametrize("instance", ["d", "missing"])
+def test_exhaustive_without_members_or_minimal_is_refused_before_loading(tmp_path, capsys, instance):
+    """Instance d fails validation and a missing file cannot be read: the missing option is named first."""
+    path = tmp_path / "missing.json" if instance == "missing" else instance_path(instance)
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, "exhaustive", str(path), "--vertex", "u", "--out", str(out))
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == "error: --members is required unless --minimal is given\n"
+
+
+def test_a_truncated_boundary_listing_converts_each_prefix_once(tmp_path, monkeypatch, instance_a):
+    """Instance a at 8,8: 81 elements, 2,025 prefixes, 81 distinct paths among them."""
+    to_json, element_json, calls, listed = Path.to_json, FinitePathSpace.element_json, [], []
+
+    def listing(space, i, memo=None):
+        before = len(calls)
+        out = element_json(space, i, memo)
+        listed.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(Path, "to_json", lambda p: calls.append(p) or to_json(p))
+    monkeypatch.setattr(FinitePathSpace, "element_json", listing)
+    out = tmp_path / "report.json"
+    assert main(["boundary", str(instance_path("a")), "--bound", "8,8", "--out", str(out)]) == 0
+    assert (len(listed), sum(listed)) == (81, 81)
+    monkeypatch.undo()
+    space = kg.enumerate_path_space(instance_a, bound=kg.Degree((8, 8)))
+    listing = json.loads(out.read_text(encoding="utf-8"))["elements"]
+    assert listing == [space.element_json(i) for i in range(len(space))]

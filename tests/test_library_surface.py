@@ -5,14 +5,25 @@ referenced, as a name or an attribute, somewhere in `src/kgraphs` outside its
 own definition and outside `__init__.py`.  A re-export is an import, not a
 reference.  Code that only tests call belongs in `tests/oracles.py`, beside
 the other references the tests compare the library with.
+
+Every module also stays under `MAX_TOKENS` tokens as `tokenize` counts them.
+Where bytecode is not cached, the modules are compiled as they are imported,
+and the parser's freed token buffer raises glibc's dynamic mmap threshold; a
+module of more than 8,192 parser tokens, compiled before numpy loads, raises
+it past the 405 KiB block that numpy's import allocates, which then lands in
+the brk heap and raises the peak RSS of every run.
 """
 
 from __future__ import annotations
 
 import ast
+import tokenize
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgraphs"
+MAX_TOKENS = 8_000  # a margin under the parser's 8,192
 
 # Public names that nothing in src/ calls, and why each stays there.
 EXEMPT = {
@@ -55,3 +66,10 @@ def test_every_public_name_in_src_has_a_caller_in_src():
     stray = {name: module for name, module in unreferenced.items() if name not in EXEMPT}
     assert not stray, f"called from no code in src/ (move them to tests/oracles.py): {stray}"
     assert sorted(unreferenced) == sorted(EXEMPT), "an exemption no longer needed"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_stays_under_the_token_limit(path):
+    with path.open("rb") as fh:
+        tokens = sum(1 for _ in tokenize.tokenize(fh.readline))
+    assert tokens < MAX_TOKENS, f"{path.name} has {tokens} tokens: split it"
