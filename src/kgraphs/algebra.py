@@ -21,7 +21,8 @@ matmul and `np.abs`.
 
 The sampled suites (`verify_*`) evaluate each identity once per chunk of
 samples stacked as rows, drawn in the order one sample at a time draws them
-(normals in bulk, draws mixed with `random` or `integers` per sample).  One
+(normals in bulk, draws mixed with `random` or `integers` per sample: those
+loops only draw, and the gauge scales are one table per chunk).  One
 `np.bincount` over the bins ab + |G| row convolves each row as one element,
 so every report equals the per-sample loop's (tests/oracles.py).  The bins
 are a table the groupoid keeps (`FiniteGroupoid.bins`), built once per index
@@ -32,21 +33,20 @@ whatever `samples` is.  The Cuntz-Krieger suite lifts one
 S(delta_e) S(delta_e)* once per call.
 
 `generation_check` certifies generation without a span closure: on a full
-groupoid (`FiniteGroupoid.is_full`) the path operators s_x are cylinders, so
-the |G| words s_x s_y* are unitriangular in the delta basis and span it.
+groupoid (`is_full`) over an exact space the path operators s_x are cylinders,
+so the |G| words s_x s_y* are unitriangular in the delta basis and span it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoid import FiniteGroupoid, _columns  # compiled before numpy loads: a lower peak RSS
+from .groupoid import FiniteGroupoid, _columns, cylinder  # compiled before numpy loads: a lower peak RSS
 import numpy as np
 
 from .skeleton import Skeleton
 from .bimodule import EdgeFunction, VertexFunction, rank_one_decomposition
 from .boundary import classify_vertices
-from .paths import source
 
 DEFAULT_SAMPLES = 100
 DEFAULT_TOL = 1e-9
@@ -222,22 +222,17 @@ def _restriction(G, boundary_G):
     return np.array(kept, dtype=np.intp).reshape(-1, 2).T
 
 
-def _gauge_scales(levels, t, k):
-    """The monomial t^m of each level m; |t_c| must be 1."""
-    ts = (complex(t),) if np.isscalar(t) else tuple([complex(c) for c in t])
-    if len(ts) != k:
-        raise ValueError(f"expected {k} circle parameters, got {len(ts)}")
-    for c in ts:
-        if abs(abs(c) - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"gauge parameter {c} is not on the unit circle")
-    scales = np.ones(len(levels), dtype=complex)
-    for j, m in enumerate(levels):
-        scale = 1 + 0j
-        for base, power in zip(ts, m):
-            # Negative powers of a circle parameter via the conjugate keeps
-            # the scaling exactly unimodular and involution-equivariant.
-            scale *= base.conjugate() ** (-power) if power < 0 else base**power
-        scales[j] = scale
+def _gauge_scales(levels, ts):
+    """The monomials t^m of the levels m, one row per row t of the circle parameters ts (rows x k)."""
+    scales = np.empty((len(ts), len(levels)), dtype=complex)
+    for r, t in enumerate(ts.tolist()):
+        for j, m in enumerate(levels):
+            scale = 1 + 0j
+            for base, power in zip(t, m):
+                # Negative powers of a circle parameter via the conjugate keeps
+                # the scaling exactly unimodular and involution-equivariant.
+                scale *= base.conjugate() ** (-power) if power < 0 else base**power
+            scales[r, j] = scale
     return scales
 
 
@@ -473,19 +468,19 @@ def verify_gauge_action(
     one_hot = np.eye(len(levels) + 1, len(levels), dtype=bool)  # row -1: no level
     dev_auto = dev_grade = dev_gen = 0.0
     for rows in _chunks(G, samples):
-        fg, scales = np.empty((2, rows, len(G)), complex), np.empty((rows, len(levels)), complex)
+        fg, ts = np.empty((2, rows, len(G)), complex), np.empty((rows, sk.rank), complex)
         picks = np.full((3, rows), -1)  # the levels of f's part, g's part and their product
-        for r in range(rows):
+        for r in range(rows):  # per sample only its draws; the scales are one table per chunk
             fg[:, r] = _normal_rows(rng, (2, len(G)))
-            ts = [np.exp(2j * np.pi * rng.random()) for _ in range(sk.rank)]
-            scales[r] = _gauge_scales(levels, ts, sk.rank)
+            ts[r] = [np.exp(2j * np.pi * rng.random()) for _ in range(sk.rank)]
             sf, sg = [sorted(set(level[v != 0].tolist())) for v in fg[:, r]]  # ascending, as `levels`
             if sf and sg:
                 mf, mg = [s[rng.integers(len(s))] for s in (sf, sg)]
                 total = tuple([a + b for a, b in zip(levels[mf], levels[mg])])
                 picks[:, r] = mf, mg, at.get(total, -1)
-        lhs = _multiply(scales[:, level], _convolve_rows(G, *fg))
-        dev_auto = max(dev_auto, _max_abs(lhs - _convolve_rows(G, *_multiply(scales[:, level], fg))))
+        scales = _gauge_scales(levels, ts)[:, level]
+        lhs = _multiply(scales, _convolve_rows(G, *fg))
+        dev_auto = max(dev_auto, _max_abs(lhs - _convolve_rows(G, *_multiply(scales, fg))))
         at_f, at_g, at_fg = one_hot[picks][..., level]  # the elements at each row's level
         prod = _convolve_rows(G, np.where(at_f, fg[0], 0), np.where(at_g, fg[1], 0))
         dev_grade = max(dev_grade, _max_abs(prod - np.where(at_fg, prod, 0)))
@@ -498,7 +493,7 @@ def verify_gauge_action(
             for r in range(rows):
                 t[r] = np.exp(2j * np.pi * rng.random())
                 draw[r] = _normal_rows(rng, (nv + ne,))
-            scales = np.array([_gauge_scales(levels, c, 1) for c in t[:, 0]])[:, level]
+            scales = _gauge_scales(levels, t)[:, level]
             pf, s_xi = _vertex_rows(G, draw[:, :nv]), _edge_rows(G, draw[:, nv:])
             dev_gen = max(dev_gen, _max_abs(_multiply(scales, pf) - pf))
             dev_gen = max(dev_gen, _max_abs(_multiply(scales, s_xi) - _multiply(t, s_xi)))
@@ -547,25 +542,25 @@ def generation_check(G: FiniteGroupoid) -> GenerationReport:
 
     The whole algebra has the deltas of the elements as a basis, so its
     dimension is |G|.  Let s_v be the projection at v and s_{e.x'} = s_e s_{x'}.
-    If G is full (`G.is_full`) and each s_x is 1.0 exactly on {(xz, d(x), z)},
-    each word s_x s_y* is the cylinder {(xz, d(x) - d(y), yz)}: 1 at (x, m, y)
-    and elsewhere only at a longer x.  So the |G| words are unitriangular in
-    the delta basis and span it; none is formed.  Otherwise the span closure
+    If G is full (`G.is_full`) over an exact space and each s_x is 1.0 exactly
+    on its `cylinder` {(xz, d(x), z)}, each word s_x s_y* is the cylinder
+    {(xz, d(x) - d(y), yz)}: 1 at (x, m, y) and elsewhere only at a longer x.
+    So the |G| words are unitriangular in the delta basis and span it; none is
+    formed.  Otherwise (a truncated space too) the span closure
     `algebra_dimension` decides, so a failing report is the span closure's.
     """
     sk = _require_rank_one(G)
     vertex = {v.id: vertex_operator(G, VertexFunction.delta(v.id)) for v in sk.vertices}
     edge = {e.id: edge_operator(G, EdgeFunction.delta(e.id)) for e in sk.edges}
-    if G.is_full and _paths_are_cylinders(G, vertex, edge):
+    if G.complete and G.is_full and _paths_are_cylinders(G, vertex, edge):
         return GenerationReport(len(G), len(G), True)
     generated = algebra_dimension(g for g in [*vertex.values(), *edge.values()] if g.coefficients)
     return GenerationReport(generated, len(G), generated == len(G))
 
 
 def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
-    """Is each s_x 1.0 exactly on the elements (xz, d(x), z) of G, and 0 elsewhere?"""
-    space, joined = G.space, G.space.index_of_factors
-    s, shorter, length = {}, {}, 0  # s_x of one length, and of the tails one edge shorter
+    """Is each s_x 1.0 exactly on the members of the cylinder Z(x, s(x)), and 0 elsewhere?"""
+    space, s, shorter, length = G.space, {}, {}, 0  # s_x of one length, and of the tails one edge shorter
     for i in sorted(range(len(space)), key=lambda i: space.elements[i].degree.total):
         x = space.elements[i]
         if x.degree.total > length:
@@ -574,9 +569,7 @@ def _paths_are_cylinders(G: FiniteGroupoid, vertex: dict, edge: dict) -> bool:
             s[i] = vertex[x.range]
         else:
             s[i] = convolve(edge[x.word[0]], shorter[space.index_of(space.factors[i][(1,)][1])])
-        tails = space.by_range[source(space.skeleton, x)]
-        xz = [(joined.get((x, space.elements[z])), z) for z in tails]
-        cylinder = [G.index_of((a, x.degree.coords, z)) for a, z in xz if a is not None]
-        if s[i].coefficients != dict.fromkeys(cylinder, 1):
+        members = cylinder(G, *space.factors[i][x.degree.coords]).members  # x split at d(x): (x, s(x))
+        if s[i].coefficients != dict.fromkeys(members, 1):
             return False
     return True

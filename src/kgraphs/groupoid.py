@@ -128,15 +128,18 @@ class FiniteGroupoid:
     @cached_property
     def composition(self) -> tuple[tuple[np.ndarray, ...], list[tuple[int, int]]]:
         """(pairs, missing) from one pass over `by_range`, each ascending (a, b): pairs holds a, b, ab
-        over the composable pairs whose composite label (x, m+n, z) is an element, missing the rest."""
-        index, labels, known, missing = self._index, self.labels, [], []
+        over the composable pairs whose composite label (x, m+n, z) is an element, missing the rest.
+        Each of a, b, ab is its own contiguous array: `np.bincount` copies a strided one."""
+        index, labels, firsts, seconds, composites, missing = self._index, self.labels, [], [], [], []
         for a, (x, m, y) in enumerate(labels):
             for b in self.by_range.get(y, ()):
                 if (ab := index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))) is None:
                     missing.append((a, b))
                 else:
-                    known.append((a, b, ab))
-        return tuple(np.array(known, dtype=np.intp).reshape(-1, 3).T), missing
+                    firsts.append(a)
+                    seconds.append(b)
+                    composites.append(ab)
+        return tuple(np.array(c, dtype=np.intp) for c in (firsts, seconds, composites)), missing
 
     def bins(self, name: str, rows: int) -> np.ndarray:
         """Flat bins for `rows` stacked rows of the index array `name`: at + width r in row r.
@@ -331,10 +334,13 @@ def verify_etale(G: FiniteGroupoid) -> GroupoidReport:
     sk, factors, failures = G.space.skeleton, G.space.factors, []
     cylinders: dict[tuple[Path, Path], CylinderSet] = {}
     for i, (label, (p, q)) in enumerate(zip(G.labels, G.witnesses)):
-        lam_mu = (factors[label[0]][p.coords][0], factors[label[2]][q.coords][0])
-        if lam_mu not in cylinders:
-            cylinders[lam_mu] = cylinder(G, *lam_mu)
-        if i not in cylinders[lam_mu].members:
+        # A witness names no cylinder if a corner is off its `factors` row or the heads' sources differ.
+        row_x, row_y = factors[label[0]], factors[label[2]]
+        lam_mu = lam, mu = row_x.get(p.coords, (None,))[0], row_y.get(q.coords, (None,))[0]
+        cyl = cylinders.get(lam_mu)
+        if cyl is None and None not in lam_mu and pth.source(sk, lam) == pth.source(sk, mu):
+            cyl = cylinders[lam_mu] = cylinder(G, lam, mu)
+        if cyl is None or i not in cyl.members:
             failures.append(f"element {label} not covered by its witness cylinder")
     broken = []  # (cylinder, end) per map not injective: usually none, so sorted
     for lam_mu, cyl in cylinders.items():

@@ -49,8 +49,10 @@ primitive it restates, so the tests that read them still exercise `kgraphs`.
 So did the object build of the path groupoid, its union-find `orbits` and
 `isotropy`, once the groupoid became columns (`object_path_groupoid`), and
 `PathSpaceElement` with `_truncated_element`, once a path space's elements
-became its paths (`reference_element_json`), and the row kernels' per-call
-bins, once the groupoid kept them (`per_call_row_sums`).
+became its paths (`reference_element_json`), the row kernels' per-call
+bins, once the groupoid kept them (`per_call_row_sums`), and the scalar
+form and the count and unit-circle checks of the gauge parameters, once the
+suite formed its scales as one table per chunk (`gauge_automorphism`).
 """
 
 from __future__ import annotations
@@ -1217,10 +1219,18 @@ def quotient_restrict(f: AlgebraElement, boundary_G: FiniteGroupoid) -> AlgebraE
 
 
 def gauge_automorphism(f: AlgebraElement, t) -> AlgebraElement:
-    """Scale the coefficient at (x, m, y) by the monomial t^m; |t_c| must be 1."""
-    levels, level = f.groupoid.grading
-    scales = _gauge_scales(levels, t, f.groupoid.rank)
-    return AlgebraElement(f.groupoid, _multiply(scales[level], f.values))
+    """Scale the coefficient at (x, m, y) by the monomial t^m; t is one circle parameter per
+    color, or a scalar at rank 1, and |t_c| must be 1 (ValueError otherwise)."""
+    G = f.groupoid
+    ts = (complex(t),) if np.isscalar(t) else tuple([complex(c) for c in t])
+    if len(ts) != G.rank:
+        raise ValueError(f"expected {G.rank} circle parameters, got {len(ts)}")
+    for c in ts:
+        if abs(abs(c) - 1.0) > DEFAULT_TOL:
+            raise ValueError(f"gauge parameter {c} is not on the unit circle")
+    levels, level = G.grading
+    scales = _gauge_scales(levels, np.array([ts], dtype=complex))[0]
+    return AlgebraElement(G, _multiply(scales[level], f.values))
 
 
 def homogeneous_component(f: AlgebraElement, level: tuple[int, ...]) -> AlgebraElement:

@@ -492,3 +492,83 @@ def test_a_truncated_boundary_listing_converts_each_prefix_once(tmp_path, monkey
     space = kg.enumerate_path_space(instance_a, bound=kg.Degree((8, 8)))
     listing = json.loads(out.read_text(encoding="utf-8"))["elements"]
     assert listing == [space.element_json(i) for i in range(len(space))]
+
+
+# Instance documents that each trip one schema check of `load_skeleton`.
+BAD_INSTANCES = {
+    "root-not-object": ([LINE], "document root must be an object"),
+    "no-edges": ({"rank": 1, "vertices": LINE["vertices"]}, "missing key 'edges'"),
+    "duplicate-edge": ({**LINE, "edges": LINE["edges"] * 2}, "duplicate edge id 'e'"),
+    "unknown-square-edge": (
+        {**LINE, "squares": [{"first": "e", "second": "e", "swapped_first": "e", "swapped_second": "zz"}]},
+        "square references unknown edge 'zz'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_a_bad_instance_is_a_one_line_usage_error(tmp_path, capsys, case):
+    document, message = BAD_INSTANCES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out, err) == (2, "", f"error: bad instance: {message}\n")
+
+
+def test_a_negative_bound_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", str(instance_path("a")), "--bound=-1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 1
+    assert err.endswith("error: argument --bound: bad degree '-1,2': negative degree coordinate in (-1, 2)\n")
+
+
+def test_an_unknown_edge_in_a_path_literal_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "lambda-min", str(instance_path("a")), "--left", "b,zz", "--right", "r")
+    assert (code, out, err) == (2, "", "error: 'zz' is neither a vertex nor an edge id\n")
+
+
+VERIFY_B_TEXT = [
+    "full.convolution_associativity: pass (max deviation 3.972e-15)",
+    "full.convolution_distributive: pass (max deviation 3.553e-15)",
+    "full.involution_antimultiplicative: pass (max deviation 0.000e+00)",
+    "full.i_norm_submultiplicative: pass (max deviation 0.000e+00)",
+    "full.regular_representation_multiplicative: pass (max deviation 9.930e-16)",
+    "full.regular_representation_adjoint: pass (max deviation 0.000e+00)",
+    "full.gauge_automorphism: pass (max deviation 1.986e-15)",
+    "full.gauge_grading: pass (max deviation 0.000e+00)",
+    "full.gauge_scales_generators: pass (max deviation 0.000e+00)",
+    "full.toeplitz_inner_product: pass (max deviation 0.000e+00)",
+    "full.toeplitz_left_action: pass (max deviation 0.000e+00)",
+    "boundary.convolution_associativity: pass (max deviation 3.972e-15)",
+    "boundary.convolution_distributive: pass (max deviation 1.986e-15)",
+    "boundary.involution_antimultiplicative: pass (max deviation 0.000e+00)",
+    "boundary.i_norm_submultiplicative: pass (max deviation 0.000e+00)",
+    "boundary.regular_representation_multiplicative: pass (max deviation 9.930e-16)",
+    "boundary.regular_representation_adjoint: pass (max deviation 0.000e+00)",
+    "boundary.gauge_automorphism: pass (max deviation 1.790e-15)",
+    "boundary.gauge_grading: pass (max deviation 0.000e+00)",
+    "boundary.gauge_scales_generators: pass (max deviation 0.000e+00)",
+    "boundary.toeplitz_inner_product: pass (max deviation 0.000e+00)",
+    "boundary.toeplitz_left_action: pass (max deviation 0.000e+00)",
+    "boundary.cuntz_krieger: pass (max deviation 0.000e+00)",
+    "full.quotient_multiplicative: pass (max deviation 0.000e+00)",
+    "overall: pass",
+]
+
+
+def test_verify_text_lines_are_pinned(capsys):
+    code, out, err = run(capsys, "verify", str(instance_path("b")), "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == VERIFY_B_TEXT and out.endswith("\n")
+
+
+def test_verify_text_lines_of_a_failing_run_are_pinned(capsys):
+    """At tol 1e-300 every nonzero deviation fails; the zero-tolerance identities pass at 0."""
+    code, out, err = run(capsys, "verify", str(instance_path("b")), "--format", "text", "--tol", "1e-300")
+    assert (code, err) == (1, "")
+    zero = [line.endswith("(max deviation 0.000e+00)") for line in VERIFY_B_TEXT]
+    failing = [line if ok else line.replace(": pass", ": FAIL") for line, ok in zip(VERIFY_B_TEXT, zero)]
+    assert out.splitlines() == failing and failing[-1] == "overall: FAIL"
+    assert sum(": FAIL" in line for line in failing) == 9

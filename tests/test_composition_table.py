@@ -82,6 +82,18 @@ def test_truncated_table_follows_label_arithmetic(instance_a):
     )
 
 
+def test_each_composition_column_is_contiguous(exact_groupoids, instance_a):
+    """a, b and ab are each a C-contiguous intp array, not a strided row of one (pairs x 3) array."""
+    truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((1, 1))))
+    broken, _ = drop_a_composite(exact_groupoids["e-full"])
+    for G in [*exact_groupoids.values(), truncated, broken]:
+        (a, b, ab), missing = G.composition
+        for column in (a, b, ab):
+            assert column.flags.c_contiguous and column.dtype == np.intp and column.base is None
+        assert G.bins("ab", 1) is ab
+    assert broken.composition[1]
+
+
 def test_table_is_built_on_first_use(instance_a, instance_e):
     truncated = kg.build_path_groupoid(kg.enumerate_path_space(instance_a, bound=Degree((2, 2))))
     truncated.to_json()

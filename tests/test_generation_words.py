@@ -86,6 +86,33 @@ def test_no_span_closure_on_bundled_instances_and_line_12(span_closure_calls):
     assert span_closure_calls == []
 
 
+@pytest.mark.parametrize("name", ["e-full", "e-boundary", "line-4-full", "line-4-boundary"])
+def test_the_words_read_one_cylinder_per_path(name, monkeypatch):
+    """Each s_x is checked against `cylinder(G, x, s(x))`, one call per path x of the space."""
+    G, calls, real = SMALL[name], [], alg.cylinder
+
+    def spy(G, lam, mu):
+        calls.append((lam, mu))
+        return real(G, lam, mu)
+
+    monkeypatch.setattr(alg, "cylinder", spy)
+    assert kg.generation_check(G) == GenerationReport(len(G), len(G), True)
+    sk = G.space.skeleton
+    assert sorted(calls, key=lambda c: G.space.index_of(c[0])) == [
+        (x, kg.vertex_path(sk, kg.source(sk, x))) for x in G.space.elements
+    ]
+
+
+@pytest.mark.parametrize("name, bound", [("b", 1), ("e", 1), ("e", 3), ("line-3", 1)])
+def test_a_truncated_space_gets_the_span_closure_report_through_it(name, bound, span_closure_calls):
+    """Cylinders are enumerable in exact mode only, so a truncated space takes the span closure."""
+    sk = load_instance(name) if name != "line-3" else kg.load_skeleton(line_document(3))
+    G = kg.build_path_groupoid(kg.enumerate_path_space(sk, bound=kg.Degree((bound,))))
+    assert G.is_full and not G.complete
+    assert kg.generation_check(G) == span_closure_report(G) == GenerationReport(len(G), len(G), True)
+    assert span_closure_calls == [1]
+
+
 # --- broken generators: the words fail and the span closure decides --------
 
 
