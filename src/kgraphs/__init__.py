@@ -35,16 +35,13 @@ from .paths import (
     vertex_path,
 )
 from .boundary import (
-    BoundaryCertificate,
     ExhaustiveSet,
     ExhaustivenessResult,
     FinitePathSpace,
     VertexClassification,
     boundary_paths,
-    boundary_report,
     classify_vertices,
     enumerate_path_space,
-    is_boundary,
     is_exhaustive,
     minimal_exhaustive_sets,
     prepend,

@@ -15,9 +15,9 @@ Each `FinitePathSpace` owns the one table of its elements' (head, tail)
 splits, built on first use from one-letter splits (`factors`,
 `index_of_factors`), which the exhaustive-set search, the groupoid build
 and checks and the edge operators read; per element, it keeps the members
-its exhaustive sets have among its prefixes (`obligations`), and
-`is_boundary` joins those of a tail.  A boundary restriction reads both
-from the space it restricts.
+its exhaustive sets have among its prefixes (`obligations`), and a
+boundary certificate joins those of an element's tails.  A boundary
+restriction reads both from the space it restricts.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class FinitePathSpace:
                 self._sets[y.range] = minimal_exhaustive_sets(self.skeleton, y.range, self)
             row, found = self.factors[i], self._obligations.setdefault(i, [])
             for ex_set in self._sets[y.range]:
-                prefixes = (p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] == p)
+                prefixes = (p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] is p)
                 found.append((ex_set.members, next(prefixes, None)))
                 if found[-1][1] is None:
                     break
@@ -321,61 +321,11 @@ def prepend(sk: Skeleton, lam: Path, x: Path) -> Path:
     return pth.compose(sk, lam, x)
 
 
-def _json(memo: dict, p: Path | tuple[Path, ...]):
-    """The JSON of a path or paths, once per `memo` (id -> (object, JSON))."""
+def _json(memo: dict, p: Path):
+    """The JSON of a path, once per `memo` (id -> (path, JSON))."""
     if id(p) not in memo:
-        memo[id(p)] = p, [_json(memo, q) for q in p] if isinstance(p, tuple) else p.to_json()
+        memo[id(p)] = p, p.to_json()
     return memo[id(p)][1]
-
-
-@dataclass(frozen=True)
-class BoundaryEntry:
-    """One (position, exhaustive set) obligation and how it was settled."""
-
-    at: Degree
-    vertex: str
-    members: tuple[Path, ...]
-    witness: Path | None
-
-    def to_json(self, memo: dict) -> dict:
-        """Serialize; a shared `memo` converts each member list, member and witness once."""
-        return {
-            "at": list(self.at.coords),
-            "vertex": self.vertex,
-            "set": _json(memo, self.members),
-            "witness": None if self.witness is None else _json(memo, self.witness),
-        }
-
-
-@dataclass(frozen=True)
-class BoundaryCertificate:
-    status: str  # "boundary" | "not_boundary" | "undecided_at_bound"
-    entries: tuple[BoundaryEntry, ...]
-
-    def to_json(self, memo: dict | None = None) -> dict:
-        entries = [e.to_json({} if memo is None else memo) for e in self.entries]
-        return {"status": self.status, "entries": entries}
-
-
-def is_boundary(space: FinitePathSpace, x: Path) -> tuple[bool | None, BoundaryCertificate]:
-    """Decide boundary membership of an exact element, with a certificate.
-
-    For every position m along the path and every minimal exhaustive set at
-    the vertex there, some member must be a prefix of the tail.  The entries
-    at m are the tail's `obligations`, read off the space's `factors`, so x
-    must be an element of the space.  Truncated spaces cannot settle this;
-    the certificate then says so and the boolean is None.
-    """
-    if not space.is_exact:
-        return None, BoundaryCertificate("undecided_at_bound", ())
-    entries: list[BoundaryEntry] = []
-    for m, (_, tail) in space.factors[space.index_of(x)].items():
-        at = Degree(m)
-        for members, witness in space.obligations(tail):
-            entries.append(BoundaryEntry(at, tail.range, members, witness))
-            if witness is None:
-                return False, BoundaryCertificate("not_boundary", tuple(entries))
-    return True, BoundaryCertificate("boundary", tuple(entries))
 
 
 def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
@@ -392,18 +342,3 @@ def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     sk = space.skeleton
     kept = [x for x in space.elements if not sk.edges_by_range[pth.source(sk, x)]]
     return FinitePathSpace(sk, "exact", kept, parent=space)
-
-
-def boundary_report(space: FinitePathSpace) -> dict:
-    """Serializable boundary listing with certificates and vertex classes."""
-    memo: dict = {}  # each prefix, member list and witness is converted once, and shared
-    members = [
-        {"element": space.element_json(i, memo), "boundary": verdict, "certificate": cert.to_json(memo)}
-        for i, x in enumerate(space.elements)
-        for verdict, cert in [is_boundary(space, x)]
-    ]
-    return {
-        "classification": classify_vertices(space.skeleton).to_json(),
-        "elements": members,
-        "boundary_size": sum(1 for m in members if m["boundary"]),
-    }

@@ -77,18 +77,23 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
 
 
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circular=False)
-# Characters of compact text re-indented at a time (see `indent`).
-_BLOCK = 16 * 1024
+# Characters of compact text re-indented at a time (see `indent`), and list items encoded at a time.
+_BLOCK, _SLICE = 16 * 1024, 256
+
+
+def _compact(value) -> str:
+    """`_COMPACT.encode(value)` by dict item and list slice: the C encoder keeps its pieces to the end."""
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        return "{" + ",".join(f"{_COMPACT.encode(k)}: {_compact(value[k])}" for k in sorted(value)) + "}"
+    if isinstance(value, list) and len(value) > _SLICE:
+        return "[" + ",".join(_compact(value[i:i + _SLICE])[1:-1] for i in range(0, len(value), _SLICE)) + "]"
+    return _COMPACT.encode(value)
 
 
 def _json_chunks(payload) -> Iterable[str]:
-    """`json.dumps(payload, sort_keys=True, indent=2) + "\n"`, in pieces.
-
-    The payload is encoded here, not as the pieces are read, so it raises
-    before anything is written: what `json.dumps` raises, or
-    `RecursionError` for a circular payload.
-    """
-    compact = _COMPACT.encode(payload)
+    """`json.dumps(payload, sort_keys=True, indent=2) + "\n"` in pieces, encoded before the first is
+    read, so it raises before anything is written (as `json.dumps`, or `RecursionError` if circular)."""
+    compact = _compact(payload)
     if len(compact) <= _BLOCK:
         return json.dumps(payload, sort_keys=True, indent=2), "\n"
     # Imported here: where bytecode is not cached, compiling the module at
@@ -213,19 +218,11 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     if (sk := _load_valid(args)) is None:
         return 1
     space = bnd.enumerate_path_space(sk, bound=args.bound)
-    if space.is_exact:
-        payload = bnd.boundary_report(space)
-
-        def lines():
-            yield f"vertex classes: regular={list(payload['classification']['regular'])}"
-            for member in payload["elements"]:
-                path = json.dumps(member["element"]["prefixes"][-1][1], sort_keys=True)
-                yield f"  {path}: {'boundary' if member['boundary'] else 'interior'}"
-            yield f"boundary size: {payload['boundary_size']}"
-
-        _emit(args, payload, lines)
+    if space.is_exact:  # imported here, as in `_json_chunks`
+        from .boundary_text import boundary_chunks, boundary_lines
+        _write(args, boundary_chunks(space) if args.format == "json" else boundary_lines(space))
         return 0
-    memo: dict = {}  # each prefix is converted once, and shared, as in `boundary_report`
+    memo: dict = {}  # each prefix is converted once, and shared
     payload = {
         "classification": bnd.classify_vertices(sk).to_json(),
         "mode": "truncated",

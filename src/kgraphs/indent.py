@@ -1,14 +1,8 @@
 """Indent compact JSON text as `json.dumps(..., indent=2)` does, with numpy.
 
-A JSON report of `kgraphs.cli` holds the bytes of `json.dumps(report,
-sort_keys=True, indent=2)` plus a newline.  CPython runs its C encoder only
-without `indent`, so a report whose compact text is longer than one block is
-encoded compactly in C and re-indented here, block by block, as it is
-written; a shorter one goes through `json.dumps` itself.  Either way the
-report is encoded before `--out` is opened, so a payload that cannot be
-encoded leaves no file.  The compact encoder skips the cycle check: every
-report is a fresh tree of `to_json` output (shared sub-objects, never a
-cycle), and a circular payload raises `RecursionError`.
+CPython runs its C JSON encoder only without `indent`, so `kgraphs.cli` encodes a report
+compactly (`cli._compact`; a circular one raises `RecursionError`) and, where the text is
+longer than one block, imports this module and re-indents it here.
 
 `indent_blocks` takes the C encoder's output with separators "," and ": "
 and yields, block by block, the bytes the pure-Python encoder writes with

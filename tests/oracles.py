@@ -95,8 +95,6 @@ from kgraphs.bimodule import (
     rank_one_decomposition,
 )
 from kgraphs.boundary import (
-    BoundaryCertificate,
-    BoundaryEntry,
     ExhaustiveSet,
     ExhaustivenessResult,
     FinitePathSpace,
@@ -1050,6 +1048,55 @@ def reference_element_json(space: FinitePathSpace, i: int) -> dict:
     return el.to_json(space.factors[i])
 
 
+@dataclass(frozen=True)
+class BoundaryEntry:
+    """One (position, exhaustive set) obligation and how it was settled."""
+
+    at: Degree
+    vertex: str
+    members: tuple[Path, ...]
+    witness: Path | None
+
+    def to_json(self) -> dict:
+        return {
+            "at": list(self.at.coords),
+            "vertex": self.vertex,
+            "set": [p.to_json() for p in self.members],
+            "witness": None if self.witness is None else self.witness.to_json(),
+        }
+
+
+@dataclass(frozen=True)
+class BoundaryCertificate:
+    status: str  # "boundary" | "not_boundary" | "undecided_at_bound"
+    entries: tuple[BoundaryEntry, ...]
+
+    def to_json(self) -> dict:
+        return {"status": self.status, "entries": [e.to_json() for e in self.entries]}
+
+
+def is_boundary(space: FinitePathSpace, x: Path) -> tuple[bool | None, BoundaryCertificate]:
+    """Decide boundary membership of an exact element, with a certificate: the
+    reference for the records `boundary_chunks` writes.
+
+    For every position m along the path and every minimal exhaustive set at
+    the vertex there, some member must be a prefix of the tail.  The entries
+    at m are the tail's `obligations`, read off the space's `factors`, so x
+    must be an element of the space.  Truncated spaces cannot settle this;
+    the certificate then says so and the boolean is None.
+    """
+    if not space.is_exact:
+        return None, BoundaryCertificate("undecided_at_bound", ())
+    entries: list[BoundaryEntry] = []
+    for m, (_, tail) in space.factors[space.index_of(x)].items():
+        at = Degree(m)
+        for members, witness in space.obligations(tail):
+            entries.append(BoundaryEntry(at, tail.range, members, witness))
+            if witness is None:
+                return False, BoundaryCertificate("not_boundary", tuple(entries))
+    return True, BoundaryCertificate("boundary", tuple(entries))
+
+
 def segment_is_boundary(space: FinitePathSpace, p: Path, cache: dict):
     """`is_boundary` with vertices and tail prefixes from `vertex_at` / `segment`."""
     if not space.is_exact:
@@ -1079,20 +1126,29 @@ def filtered_boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     return FinitePathSpace(space.skeleton, "exact", kept, parent=space)
 
 
-def subset_search_boundary_report(space: FinitePathSpace) -> dict:
-    """`boundary_report` built on `segment_is_boundary`."""
-    sk = space.skeleton
-    cache: dict = {}
+def boundary_report(
+    space: FinitePathSpace, verdicts=is_boundary, element_json=FinitePathSpace.element_json
+) -> dict:
+    """The exact `boundary` report as a dict, the reference for `boundary_chunks`:
+    `verdicts(space, p)` gives each element's (verdict, certificate), and
+    `element_json(space, i)` its element JSON."""
     members = []
     for i, p in enumerate(space.elements):
-        verdict, cert = segment_is_boundary(space, p, cache)
-        element = reference_element_json(space, i)
+        verdict, cert = verdicts(space, p)
+        element = element_json(space, i)
         members.append({"element": element, "boundary": verdict, "certificate": cert.to_json()})
     return {
-        "classification": classify_vertices(sk).to_json(),
+        "classification": classify_vertices(space.skeleton).to_json(),
         "elements": members,
         "boundary_size": sum(1 for m in members if m["boundary"]),
     }
+
+
+def subset_search_boundary_report(space: FinitePathSpace) -> dict:
+    """`boundary_report` built on `segment_is_boundary` and `reference_element_json`."""
+    cache: dict = {}
+    verdicts = lambda space, p: segment_is_boundary(space, p, cache)
+    return boundary_report(space, verdicts, reference_element_json)
 
 
 # The per-element reference layer: one path, element or function at a time,

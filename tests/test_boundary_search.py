@@ -2,7 +2,8 @@
 
 `minimal_exhaustive_sets` (minimal transversals of the maximal paths, read
 from the factorization table or built from one-letter cuts), `is_boundary`
-(reading the table) and `boundary_paths` (the source rule) are checked
+(reading the table, kept in `oracles.py` as the reference for the `boundary`
+report) and `boundary_paths` (the source rule) are checked
 against the subset search, the `segment`-based membership test and the
 `is_boundary` filter kept in `oracles.py`.  The transversal search is also
 checked against its rescanning form, which derives each prefix with
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import assume, given
 
 import kgraphs as kg
+from kgraphs.boundary_text import boundary_chunks
 from kgraphs import paths as pth
 from kgraphs.cli import main
 from kgraphs.skeleton import Degree
@@ -140,8 +142,8 @@ def check_against_the_subset_search(sk: kg.Skeleton) -> None:
         want = orc.subset_search_minimal_exhaustive_sets(sk, v.id)
         assert kg.minimal_exhaustive_sets(sk, v.id) == want, v.id
     space = kg.enumerate_path_space(sk)
-    report = json.dumps(kg.boundary.boundary_report(space), sort_keys=True)
-    assert report == json.dumps(orc.subset_search_boundary_report(space), sort_keys=True)
+    report = "".join(boundary_chunks(space))
+    assert report == json.dumps(orc.subset_search_boundary_report(space), sort_keys=True, indent=2) + "\n"
     got = kg.boundary_paths(space)
     sources = set(kg.classify_vertices(sk).sources)
     by_source_rule = [el for el in space if kg.source(sk, el) in sources]
@@ -149,7 +151,7 @@ def check_against_the_subset_search(sk: kg.Skeleton) -> None:
     assert got.parent is not None and got.is_exact
     cache: dict = {}
     for el in space:
-        assert kg.is_boundary(space, el) == orc.segment_is_boundary(space, el, cache)
+        assert orc.is_boundary(space, el) == orc.segment_is_boundary(space, el, cache)
 
 
 def test_generated_instances_match_the_subset_search(skeleton):
@@ -220,9 +222,9 @@ def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, 
         return search(sk, vertex_id, *space)
 
     monkeypatch.setattr(kg.boundary, "minimal_exhaustive_sets", spy)
-    report = kg.boundary.boundary_report(space)
+    report = json.loads("".join(boundary_chunks(space)))
     for _ in range(3):
-        assert [kg.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
+        assert [orc.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
     assert sorted(calls) == sorted({el.range for el in space})
 
 
@@ -240,7 +242,7 @@ def test_table_read_sets_equal_the_rescan_and_a_restriction_reads_its_parent(spa
         assert kg.minimal_exhaustive_sets(sk, v.id) == want, v.id
     restricted = kg.boundary_paths(space)
     for el in restricted:
-        assert kg.is_boundary(restricted, el) == kg.is_boundary(space, el)
+        assert orc.is_boundary(restricted, el) == orc.is_boundary(space, el)
 
 
 def spy_on(monkeypatch, *names):

@@ -10,6 +10,7 @@ from kgraphs.boundary import FinitePathSpace
 from kgraphs.cli import build_parser, main
 from kgraphs.paths import Path
 
+import oracles as orc
 from conftest import instance_path
 
 
@@ -112,9 +113,7 @@ def test_boundary_command_two_vertex(capsys):
     assert payload["classification"]["regular"] == ["v"]
 
 
-def test_boundary_command_builds_text_lines_only_for_text(capsys, monkeypatch):
-    dumps, calls = json.dumps, []
-    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+def test_boundary_command_builds_text_lines_only_for_text(capsys, instance_b):
     code, out, _ = run(capsys, "boundary", str(instance_path("b")), "--format", "text")
     assert code == 0
     assert out == (
@@ -124,12 +123,11 @@ def test_boundary_command_builds_text_lines_only_for_text(capsys, monkeypatch):
         '  {"blocks": [[]], "range": "w"}: boundary\n'
         "boundary size: 2\n"
     )
-    text_calls = len(calls)
-    calls.clear()
     code, out, _ = run(capsys, "boundary", str(instance_path("b")))
-    assert code == 0 and json.loads(out)["boundary_size"] == 2
-    # JSON output dumps the report once and none of the three element lines.
-    assert text_calls - len(calls) == 3 - 1
+    # JSON output is the report alone: no element line is written beside it.
+    assert code == 0 and "interior" not in out
+    report = orc.boundary_report(kg.enumerate_path_space(instance_b))
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_boundary_command_rejects_cycles_without_bound(capsys):

@@ -3,8 +3,8 @@
 `FinitePathSpace.element_json` reads an element's truncation markers off its
 source where it writes them.  It must write what the per-element wrapper
 kept in `oracles.py` writes (`reference_element_json`), byte for byte, on
-exact, truncated and boundary-restricted spaces, and `is_boundary` must
-leave every element of a truncated space undecided.
+exact, truncated and boundary-restricted spaces, and the reference
+`is_boundary` must leave every element of a truncated space undecided.
 
 The hypothesis runs are derandomized and keep no example database.
 """
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given
 
 import kgraphs as kg
-from kgraphs.boundary import BoundaryCertificate
 from kgraphs.skeleton import Degree
 
 import oracles as orc
@@ -25,7 +24,7 @@ from conftest import load_instance, one_cycling_colour_document
 from test_full_groupoid import path_spaces
 from test_validate_properties import examples
 
-UNDECIDED = (None, BoundaryCertificate("undecided_at_bound", ()))
+UNDECIDED = (None, orc.BoundaryCertificate("undecided_at_bound", ()))
 
 
 def check_elements(space: kg.FinitePathSpace) -> None:
@@ -35,7 +34,7 @@ def check_elements(space: kg.FinitePathSpace) -> None:
             got, want = s.element_json(i), orc.reference_element_json(s, i)
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
         if not s.is_exact:
-            assert all(kg.is_boundary(s, x) == UNDECIDED for x in s)
+            assert all(orc.is_boundary(s, x) == UNDECIDED for x in s)
 
 
 @examples(60)

@@ -8,8 +8,11 @@ block sizes small enough that every carry across a block boundary is taken.
 The groupoid, verify and validate digest pins and the short boundary pins
 are run again at block sizes 1 and 7, since at the default size most pinned
 reports are short enough to go through `json.dumps`.  Payloads that share one
-list or dict from several places, as `boundary_report`'s memo does, are
+list or dict from several places, as `element_json`'s memo does, are
 checked too, since the compact encoder skips the cycle check.
+
+The compact text itself is encoded by item and by slice (`cli._compact`), and
+must equal one call of the C encoder at every slice size.
 
 The property runs are derandomized and keep no example database, so tier-1
 sees the same examples every time.
@@ -83,6 +86,26 @@ def test_reindented_compact_text_equals_json_dumps(value):
     compact = cli._COMPACT.encode(value)
     for block in BLOCKS:
         assert "".join(indent_blocks(compact, block)) == want, block
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(values)
+def test_compact_text_by_items_and_slices_equals_one_encoding(value):
+    """`cli._compact` encodes a dict of str keys by item and a long list by slices; at every
+    slice size it writes what one call of the C encoder writes."""
+    want, saved = cli._COMPACT.encode(value), cli._SLICE
+    try:
+        for size in (1, 2, 3, saved):
+            cli._SLICE = size
+            assert cli._compact(value) == want, size
+    finally:
+        cli._SLICE = saved
 
 
 def shared_in(container, depths, key):
