@@ -32,9 +32,11 @@ whatever `samples` is.  The Cuntz-Krieger suite lifts one
 `rank_one_decomposition` per call and sums its edge projections
 S(delta_e) S(delta_e)* once per call.
 
-`generation_check` certifies generation without a span closure: on a full
-groupoid (`is_full`) over an exact space the path operators s_x are cylinders,
-so the |G| words s_x s_y* are unitriangular in the delta basis and span it.
+`generation_check` certifies generation without a span closure: a built
+groupoid is full (`is_full`, a class constant), so over an exact space the
+path operators s_x are cylinders and the |G| words s_x s_y* are unitriangular
+in the delta basis and span it.  The regular representation and the quotient
+find elements by the groupoid's layout: (x, m, y) at start[x] + pos[y].
 """
 
 from __future__ import annotations
@@ -214,11 +216,12 @@ def edge_operator(G: FiniteGroupoid, xi: EdgeFunction) -> AlgebraElement:
 
 
 def _restriction(G, boundary_G):
-    """The elements of G whose endpoints are boundary paths, and their indices in boundary_G."""
-    bspace = boundary_G.space
+    """The elements of G whose endpoints are boundary paths, and their indices in boundary_G:
+    (x, m, y) is (x', m, y') there, at start[x'] + pos[y'], x' and y' the paths' places in its space."""
+    bspace, start, pos = boundary_G.space, boundary_G.start, boundary_G.pos
     at = [bspace.index_of(x) if x in bspace else None for x in G.space.elements]
-    labels = [(at[x], m, at[y]) for x, m, y in G.labels]
-    kept = [(i, boundary_G.index_of(x)) for i, x in enumerate(labels) if None not in x]
+    kept = [(i, start[at[x]] + pos[at[y]]) for i, (x, y) in enumerate(zip(G.x.tolist(), G.y.tolist()))
+            if None not in (at[x], at[y])]
     return np.array(kept, dtype=np.intp).reshape(-1, 2).T
 
 
@@ -239,9 +242,10 @@ def _gauge_scales(levels, ts):
 class RegularRepresentation:
     """Per-unit matrix representation: convolution acting on each source fiber.
 
-    entries[u][r, c] is `G.product` of u's r-th fiber element and the c-th one's inverse
-    (KeyError if either is missing).  A full groupoid's fibers list u's source block in
-    label order, so a block's units share the array of its least member, met first.
+    entries[u][r, c] is the index of u's r-th fiber element times the c-th one's inverse.  A full
+    groupoid's fiber at u is (x, d(x) - d(u), u), x over u's source block ascending, and
+    (x, m, u)(x', n, u)^-1 = (x, m - n, x') sits at start[x] + pos[x']: one table per block,
+    which its units share.  Otherwise each entry is `G.product` (KeyError if either is missing).
     """
 
     def __init__(self, G: FiniteGroupoid):
@@ -252,12 +256,13 @@ class RegularRepresentation:
         self.bases = {u: tuple(fiber) for u, fiber in fibers.items()}
         self.entries: dict[int, np.ndarray] = {}
         for u, fiber in self.bases.items():
-            if G.is_full and (least := G.labels[fiber[0]][0]) < u:
-                self.entries[u] = self.entries[least]
+            if not G.is_full:
+                table = [[G.product(i, G.inverse[j]) for j in fiber] for i in fiber]
+            elif (xs := G.x[list(fiber)].tolist())[0] < u:  # its block's least unit has the table
+                table = self.entries[xs[0]]
             else:
-                self.entries[u] = np.array(
-                    [[G.product(i, G.inverse[j]) for j in fiber] for i in fiber], dtype=np.intp
-                )
+                table = [[G.start[x] + G.pos[y] for y in xs] for x in xs]
+            self.entries[u] = np.asarray(table, dtype=np.intp)
 
     def matrix(self, f: AlgebraElement, unit: int) -> np.ndarray:
         return f.values[self.entries[unit]]
@@ -542,8 +547,8 @@ def generation_check(G: FiniteGroupoid) -> GenerationReport:
 
     The whole algebra has the deltas of the elements as a basis, so its
     dimension is |G|.  Let s_v be the projection at v and s_{e.x'} = s_e s_{x'}.
-    If G is full (`G.is_full`) over an exact space and each s_x is 1.0 exactly
-    on its `cylinder` {(xz, d(x), z)}, each word s_x s_y* is the cylinder
+    If G is full (`G.is_full`: every built one is) over an exact space and each
+    s_x is 1.0 exactly on its `cylinder` {(xz, d(x), z)}, each word s_x s_y* is the cylinder
     {(xz, d(x) - d(y), yz)}: 1 at (x, m, y) and elsewhere only at a longer x.
     So the |G| words are unitriangular in the delta basis and span it; none is
     formed.  Otherwise (a truncated space too) the span closure

@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import replace
 from functools import cache
@@ -249,14 +248,13 @@ def cmd_groupoid(args: argparse.Namespace) -> int:
         axioms = gpd.verify_groupoid_axioms(G)
         etale = gpd.verify_etale(G)
         reports_ok = axioms.passed and etale.passed
-        loops = Counter(x for x, _, y in G.labels if x == y)  # isotropy counts
         payload.update(
             {
                 "boundary_groupoid_size": len(Gb),
                 "axioms": axioms.to_json(),
                 "etale": etale.to_json(),
                 "orbits": [list(o) for o in gpd.orbits(G)],
-                "isotropy": {str(u): loops[u] for u in G.units()},
+                "isotropy": {str(u): 1 for u in G.units()},  # (u, m, u) is (u, 0, u) alone
                 "groupoid": (Gb if args.boundary else G).to_json(),
             }
         )

@@ -1,14 +1,18 @@
 """The path groupoid of an enumerated path space, and its boundary reduction.
 
 Elements (x, m, y) pair space elements whose tails agree after shifts m apart:
-for finite paths, a common source.  A source block of n_v elements gives n_v^2
-labels (x, d(x) - d(y), y), held as int arrays `x`, `m` (|G| x k), `y` in label
-order; witnesses (`least_witness`) and element objects are made on first use.
-A hand-built list is sorted into the same arrays and keeps its witnesses.
-Products are label sums, so the axiom check needs closure (`is_full`), units,
-inverses and distinct labels, never triples.  The index arrays that the
-convolution algebra gathers through are cached properties, built on first use;
-each one's table of stacked bins (`bins`) is too, at the height asked for.
+for finite paths, a common source.  `build_path_groupoid` lays a source block
+of n_v elements out as n_v rows of n_v labels (x, d(x) - d(y), y), one row per
+x in order of x, each listing the block in one fixed order; the columns `x`,
+`m` (|G| x k) and `y` are int arrays, and witnesses (`least_witness`) and
+element objects are made on first use.  So (x, m, y) sits at start[x] + pos[y]
+(row starts, and each element's place in its block's order), and lookups,
+products, inverses, units and the composition table are block arithmetic; the
+groupoid is full (`is_full`) by construction.  The checks (`orbits`, the axiom
+and etale checks) ask only these members, so they also judge a groupoid that
+answers them another way, as the tests' label oracle does.  The arrays that the
+convolution algebra gathers through are cached properties, built on first
+use; each one's table of stacked bins (`bins`) is too, at the height asked for.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, product
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -44,14 +48,12 @@ class GroupoidElement:
 
 
 class FiniteGroupoid:
-    """An enumerated groupoid over a finite path space: columns x, m, y in label order."""
+    """The path groupoid over a finite path space: columns x, m, y, row starts `start`, block places `pos`."""
 
-    def __init__(self, space: FinitePathSpace, elements=(), columns=None):
-        self.space = space
-        if columns is None:  # a hand-built list keeps its own witnesses
-            self.elements = tuple(sorted(elements, key=GroupoidElement.label))
-            self.witnesses = [g.witness for g in self.elements]
-            columns = [[getattr(g, c) for g in self.elements] for c in "xmy"]
+    is_full = True  # exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once
+
+    def __init__(self, space: FinitePathSpace, columns, start, pos):
+        self.space, self.start, self.pos = space, start, pos
         x, m, y = (np.asarray(c, dtype=np.intp) for c in columns)
         self.x, self.m, self.y = x, m.reshape(len(x), self.rank), y
         self._bins: dict[str, np.ndarray] = {}  # `bins`, per index array at the tallest height asked for
@@ -90,56 +92,54 @@ class FiniteGroupoid:
     def elements(self) -> tuple[GroupoidElement, ...]:
         return tuple(GroupoidElement(*label, w) for label, w in zip(self.labels, self.witnesses))
 
-    @cached_property
-    def _index(self) -> dict[Label, int]:
-        return {label: i for i, label in enumerate(self.labels)}  # a repeated label: its last
+    def _at(self, label: Label) -> int | None:
+        x, _, y = label
+        if 0 <= x < len(self.pos) and 0 <= y < len(self.pos):
+            if (i := self.start[x] + self.pos[y]) < self.start[x + 1] and self.labels[i] == label:
+                return i
+        return None
 
     def index_of(self, label: Label) -> int:
-        return self._index[label]
+        """(x, m, y) is at start[x] + pos[y] if it is an element; KeyError if not."""
+        if (i := self._at(label)) is None:
+            raise KeyError(label)
+        return i
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._index
+        return self._at(label) is not None
 
     @cached_property
     def unit_index(self) -> dict[int, int]:
-        return {x: i for i, (x, m, y) in enumerate(self.labels) if x == y and not any(m)}
+        return {u: self.start[u] + self.pos[u] for u in range(len(self.pos))}
 
     def units(self) -> tuple[int, ...]:
         return tuple(sorted(self.unit_index))
 
     @cached_property
-    def is_full(self) -> bool:
-        """Are the elements exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once?"""
-        built = build_path_groupoid(self.space)  # full by construction
-        return all(map(np.array_equal, (self.x, self.m, self.y), (built.x, built.m, built.y)))
-
-    @cached_property
-    def by_range(self) -> dict[int, list[int]]:
-        """by_range[u] lists the indices of the elements (u, m, y), ascending."""
-        xs = self.x.tolist()
-        return dict(zip(dict.fromkeys(xs), _blocks(xs)))
-
-    @cached_property
     def inverse(self) -> dict[int, int]:
-        """inverse[a] is the index of a's inverse; a missing inverse has no key."""
-        labels = ((i, (y, tuple(-c for c in m), x)) for i, (x, m, y) in enumerate(self.labels))
-        return {i: self._index[label] for i, label in labels if label in self._index}
+        """inverse[a] is the index of a's inverse: (x, m, y)^-1 = (y, -m, x), at start[y] + pos[x]."""
+        return {a: self.start[y] + self.pos[x] for a, (x, y) in enumerate(zip(*self._xy()))}
+
+    @cached_property
+    def inverse_array(self) -> np.ndarray:
+        """Each element's inverse; KeyError if one is missing."""
+        return np.array([self.inverse[i] for i in range(len(self))], dtype=np.intp)
 
     @cached_property
     def composition(self) -> tuple[tuple[np.ndarray, ...], list[tuple[int, int]]]:
-        """(pairs, missing) from one pass over `by_range`, each ascending (a, b): pairs holds a, b, ab
-        over the composable pairs whose composite label (x, m+n, z) is an element, missing the rest.
-        Each of a, b, ab is its own contiguous array: `np.bincount` copies a strided one."""
-        index, labels, firsts, seconds, composites, missing = self._index, self.labels, [], [], [], []
-        for a, (x, m, y) in enumerate(labels):
-            for b in self.by_range.get(y, ()):
-                if (ab := index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))) is None:
-                    missing.append((a, b))
-                else:
-                    firsts.append(a)
-                    seconds.append(b)
-                    composites.append(ab)
-        return tuple(np.array(c, dtype=np.intp) for c in (firsts, seconds, composites)), missing
+        """(pairs, missing), missing empty: pairs holds a, b, ab over the composable pairs, ascending.
+        Every row of a block lists the block in `pos` order, so the b of the a = (x, m, y) in row x
+        are row y, and ab = (x, m + n, z) is at start[x] + pos[z]: row x again.  Each of a, b, ab is
+        its own contiguous array: `np.bincount` copies a strided one."""
+        rows, parts, blocks = np.arange(len(self)), [[np.zeros(0, dtype=np.intp)] for _ in range(3)], {}
+        spans = list(zip(self.start, self.start[1:]))
+        for s, t in spans:
+            if (first := int(self.y[s])) not in blocks:  # the block's rows in `pos` order: row x's b
+                blocks[first] = np.concatenate([rows[slice(*spans[y])] for y in self.y[s:t].tolist()])
+            row = rows[s:t]
+            for part, column in zip(parts, (np.repeat(row, t - s), blocks[first], np.tile(row, t - s))):
+                part.append(column)
+        return tuple(map(np.concatenate, parts)), []
 
     def bins(self, name: str, rows: int) -> np.ndarray:
         """Flat bins for `rows` stacked rows of the index array `name`: at + width r in row r.
@@ -156,11 +156,6 @@ class FiniteGroupoid:
             width = len(self) if name == "ab" else len(self.space)
             table = self._bins[name] = np.arange(rows * width).reshape(rows, width)[:, at].ravel()
         return table[:size]
-
-    @cached_property
-    def inverse_array(self) -> np.ndarray:
-        """Each element's inverse; KeyError if one is missing."""
-        return np.array([self.inverse[i] for i in range(len(self))], dtype=np.intp)
 
     @cached_property
     def grading(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
@@ -187,13 +182,11 @@ class FiniteGroupoid:
         return (*np.array(kept, dtype=np.intp).reshape(-1, 2).T, [a for a in arrows if a[0] not in self])
 
     def product(self, a: int, b: int) -> int:
-        """Index of ab = (x, m+n, z): ValueError if not composable, KeyError if missing."""
-        (x, m, y), (u, n, z) = ga, gb = self.labels[a], self.labels[b]
+        """Index of ab = (x, m+n, z), at start[x] + pos[z]: ValueError if not composable."""
+        (x, _, y), (u, _, z) = ga, gb = self.labels[a], self.labels[b]
         if y != u:
             raise ValueError(f"not composable: {ga} then {gb}")
-        if (label := (x, tuple(map(add, m, n)), z)) not in self._index:
-            raise KeyError(f"composite of {ga} and {gb} missing")
-        return self._index[label]
+        return self.start[x] + self.pos[z]
 
     def to_json(self) -> dict:
         orbit, (xs, ys), ms = {u: j for j, o in enumerate(orbits(self)) for u in o}, self._xy(), {}
@@ -248,9 +241,8 @@ def build_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
     deg = np.array(degree, dtype=np.intp).reshape(len(source), space.skeleton.rank)
     span = range(max(map(max, degree), default=0) + 1)  # a - b from a table: numpy int ops page in code
     minus = np.array([[a - b for b in span] for a in span], dtype=np.intp)
-    G, start = FiniteGroupoid(space, columns=(x, minus[deg[x], deg[y]], y)), [0, *accumulate(lengths)]
-    G.is_full, G.unit_index = True, {u: start[u] + at[u] for u in range(len(source))}  # by construction
-    return G
+    start, pos = [0, *accumulate(lengths)], [at[u] for u in range(len(source))]
+    return FiniteGroupoid(space, (x, minus[deg[x], deg[y]], y), start, pos)
 
 
 def build_boundary_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
@@ -296,8 +288,8 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
         failures.append(f"composite of {G.labels[a]} and {G.labels[b]} missing")
 
     if not failures:
-        # Label sums are associative; g.u = u.g is the last copy of g's label.
-        failures += [f"unit law fails at {g}" for i, g in enumerate(G.labels) if G._index[g] != i]
+        # Label sums are associative; g.u = u.g is the element that g's label names.
+        failures += [f"unit law fails at {g}" for i, g in enumerate(G.labels) if G.index_of(g) != i]
     return GroupoidReport(not failures, tuple(failures))
 
 

@@ -52,7 +52,9 @@ So did the object build of the path groupoid, its union-find `orbits` and
 became its paths (`reference_element_json`), the row kernels' per-call
 bins, once the groupoid kept them (`per_call_row_sums`), and the scalar
 form and the count and unit-circle checks of the gauge parameters, once the
-suite formed its scales as one table per chunk (`gauge_automorphism`).
+suite formed its scales as one table per chunk (`gauge_automorphism`), and
+the hand-built element list with every table keyed by labels, once a built
+groupoid found its elements by block arithmetic (`LabelGroupoid`).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ from __future__ import annotations
 import graphlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
-from operator import sub
+from operator import add, sub
 
 import numpy as np
 
@@ -111,7 +113,13 @@ from kgraphs.paths import (
     sort_paths,
     source,
 )
-from kgraphs.groupoid import CylinderSet, FiniteGroupoid, GroupoidElement, GroupoidReport
+from kgraphs.groupoid import (
+    CylinderSet,
+    FiniteGroupoid,
+    GroupoidElement,
+    GroupoidReport,
+    build_path_groupoid,
+)
 from kgraphs.skeleton import (
     Degree,
     ExactModeError,
@@ -533,8 +541,88 @@ def bfs_enumerate_paths(sk: Skeleton, bound: Degree | None = None) -> tuple[Path
     return pth.sort_paths(out)
 
 
-# Groupoid labels: convolution and involution by label arithmetic, the
-# reference for the composition table of `FiniteGroupoid`.
+# Groupoid labels: a groupoid given as its element list and found through
+# dicts keyed by labels, and convolution and involution by label arithmetic.
+# The references for the block arithmetic of `FiniteGroupoid` and its
+# composition table; the tests build their broken groupoids (an element
+# dropped, a label repeated, a witness swapped) as `LabelGroupoid`s.  The
+# label oracles find elements through `label_index`, never through the
+# groupoid's own `index_of`.
+
+
+def label_index(G: FiniteGroupoid) -> dict[tuple, int]:
+    """Each label's index; a repeated label: its last."""
+    return {label: i for i, label in enumerate(G.labels)}
+
+
+def label_by_range(G: FiniteGroupoid) -> dict[int, list[int]]:
+    """by_range[u] lists the indices of the elements (u, m, y), ascending."""
+    rows: dict[int, list[int]] = {}
+    for i, x in enumerate(G.x.tolist()):
+        rows.setdefault(x, []).append(i)
+    return rows
+
+
+class LabelGroupoid(FiniteGroupoid):
+    """A hand-built groupoid: its elements sorted into label order, their witnesses kept, and every
+    lookup, product, inverse, unit and composite found through a dict keyed by labels."""
+
+    def __init__(self, space: FinitePathSpace, elements=()):
+        self.elements = tuple(sorted(elements, key=GroupoidElement.label))
+        self.witnesses = [g.witness for g in self.elements]
+        super().__init__(space, [[getattr(g, c) for g in self.elements] for c in "xmy"], None, None)
+
+    _index = cached_property(label_index)
+    by_range = cached_property(label_by_range)
+
+    def index_of(self, label) -> int:
+        return self._index[label]
+
+    def __contains__(self, label) -> bool:
+        return label in self._index
+
+    @cached_property
+    def unit_index(self) -> dict[int, int]:
+        return {x: i for i, (x, m, y) in enumerate(self.labels) if x == y and not any(m)}
+
+    @cached_property
+    def is_full(self) -> bool:
+        """Are the elements exactly the labels (x, d(x) - d(y), y) with s(x) = s(y), each once?
+        If so, they are laid out as the built groupoid's, and take its `start` and `pos`."""
+        built = build_path_groupoid(self.space)
+        if full := all(map(np.array_equal, (self.x, self.m, self.y), (built.x, built.m, built.y))):
+            self.start, self.pos = built.start, built.pos
+        return full
+
+    @cached_property
+    def inverse(self) -> dict[int, int]:
+        """inverse[a] is the index of a's inverse; a missing inverse has no key."""
+        labels = ((i, (y, tuple(-c for c in m), x)) for i, (x, m, y) in enumerate(self.labels))
+        return {i: self._index[label] for i, label in labels if label in self._index}
+
+    @cached_property
+    def composition(self) -> tuple[tuple[np.ndarray, ...], list[tuple[int, int]]]:
+        """(pairs, missing) from one pass over `by_range`, each ascending (a, b): pairs holds a, b, ab
+        over the composable pairs whose composite label (x, m+n, z) is an element, missing the rest."""
+        index, labels, firsts, seconds, composites, missing = self._index, self.labels, [], [], [], []
+        for a, (x, m, y) in enumerate(labels):
+            for b in self.by_range.get(y, ()):
+                if (ab := index.get((x, tuple(map(add, m, labels[b][1])), labels[b][2]))) is None:
+                    missing.append((a, b))
+                else:
+                    firsts.append(a)
+                    seconds.append(b)
+                    composites.append(ab)
+        return tuple(np.array(c, dtype=np.intp) for c in (firsts, seconds, composites)), missing
+
+    def product(self, a: int, b: int) -> int:
+        """Index of ab = (x, m+n, z): ValueError if not composable, KeyError if missing."""
+        (x, m, y), (u, n, z) = ga, gb = self.labels[a], self.labels[b]
+        if y != u:
+            raise ValueError(f"not composable: {ga} then {gb}")
+        if (label := (x, tuple(map(add, m, n)), z)) not in self._index:
+            raise KeyError(f"composite of {ga} and {gb} missing")
+        return self._index[label]
 
 
 def label_composite(a, b) -> tuple:
@@ -547,7 +635,7 @@ def label_inverse(g) -> tuple:
 
 def label_convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Sum f(a) g(b) over every composable support pair, ascending (a, b)."""
-    G = f.groupoid
+    G, index = f.groupoid, label_index(f.groupoid)
     acc: dict[int, complex] = {}
     for ia, ca in f.coefficients.items():
         a = G.elements[ia]
@@ -555,17 +643,17 @@ def label_convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
             b = G.elements[ib]
             if a.y != b.x:
                 continue
-            idx = G.index_of(label_composite(a, b))
+            idx = index[label_composite(a, b)]
             acc[idx] = acc.get(idx, 0j) + ca * cb
     return AlgebraElement(G, acc)
 
 
 def label_involution(f: AlgebraElement) -> AlgebraElement:
-    G = f.groupoid
+    G, index = f.groupoid, label_index(f.groupoid)
     return AlgebraElement(
         G,
         {
-            G.index_of(label_inverse(G.elements[i])): c.conjugate()
+            index[label_inverse(G.elements[i])]: c.conjugate()
             for i, c in f.coefficients.items()
         },
     )
@@ -606,13 +694,12 @@ def per_call_i_norms(G: FiniteGroupoid, F: np.ndarray) -> np.ndarray:
 
 def label_successors(G: FiniteGroupoid) -> tuple[dict[int, int | None], ...]:
     """successors[a] maps each b with b.x == a.y, ascending, to ab's index, or None if missing."""
-    table = []
+    table, index = [], label_index(G)
     for a in G.elements:
         row: dict[int, int | None] = {}
         for ib, b in enumerate(G.elements):
             if b.x == a.y:
-                label = label_composite(a, b)
-                row[ib] = G.index_of(label) if label in G else None
+                row[ib] = index.get(label_composite(a, b))
         table.append(row)
     return tuple(table)
 
@@ -621,13 +708,13 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
     """Closure, units, inverses, witnesses, then the unit, inverse and associative laws."""
     failures: list[str] = []
     factors = G.space.factors
-    table = label_successors(G)
+    table, index, units = label_successors(G), label_index(G), object_unit_index(G)
     inverse = {
-        i: G.index_of(label_inverse(g)) for i, g in enumerate(G.elements) if label_inverse(g) in G
+        i: index[label_inverse(g)] for i, g in enumerate(G.elements) if label_inverse(g) in index
     }
 
     for u in range(len(G.space.elements)):
-        if u not in G.unit_index:
+        if u not in units:
             failures.append(f"missing unit at space index {u}")
     for i, g in enumerate(G.elements):
         p, q = g.witness
@@ -641,7 +728,7 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
             failures.append(f"invalid witness on {g.label()}")
         if i not in inverse:
             failures.append(f"inverse of {g.label()} missing")
-        elif g.x not in G.unit_index or g.y not in G.unit_index:
+        elif g.x not in units or g.y not in units:
             failures.append(f"unit for {g.label()} missing")
     for g1, successors in zip(G.elements, table):
         for i2, i12 in successors.items():
@@ -649,7 +736,7 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
                 failures.append(f"composite of {g1.label()} and {G.elements[i2].label()} missing")
     if not failures:
         for i, g in enumerate(G.elements):
-            ux, uy = G.unit_index[g.x], G.unit_index[g.y]
+            ux, uy = units[g.x], units[g.y]
             if table[i][uy] != i or table[ux][i] != i:
                 failures.append(f"unit law fails at {g.label()}")
             if table[i][inverse[i]] != ux:
@@ -666,8 +753,8 @@ def loop_groupoid_axioms(G: FiniteGroupoid) -> GroupoidReport:
 
 
 # The regular representation's tables by label lookups, one table per unit:
-# the reference for `RegularRepresentation`, which reads `product` once per
-# unit off full groupoids and once per source block on them.
+# the reference for `RegularRepresentation`, which reads `product` per entry
+# off full groupoids and `start` and `pos` once per source block on them.
 
 
 def label_regular_entries(G: FiniteGroupoid) -> dict[int, np.ndarray]:
@@ -676,11 +763,11 @@ def label_regular_entries(G: FiniteGroupoid) -> dict[int, np.ndarray]:
     One table per unit, each gamma beta^{-1} looked up by its label; a missing
     label raises KeyError.
     """
-    entries = {}
+    entries, index = {}, label_index(G)
     for u in G.units():
         heads = [(g.x, g.m) for g in G.elements if g.y == u]
         entries[u] = np.array(
-            [[G.index_of((x, tuple(a - b for a, b in zip(m, n)), x2)) for x2, n in heads] for x, m in heads],
+            [[index[(x, tuple(a - b for a, b in zip(m, n)), x2)] for x2, n in heads] for x, m in heads],
             dtype=np.intp,
         )
     return entries
@@ -749,7 +836,7 @@ def all_pairs_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
                     if label not in found or wit[0].coords < found[label][0].coords:
                         found[label] = wit
     elements = [GroupoidElement(x, m, y, witness=found[(x, m, y)]) for (x, m, y) in found]
-    return FiniteGroupoid(space, elements)
+    return LabelGroupoid(space, elements)
 
 
 def tail_join_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
@@ -775,7 +862,7 @@ def tail_join_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
         GroupoidElement(x, m, y, witness=(Degree(p), Degree(q)))
         for (x, m, y), (p, q) in found.items()
     ]
-    return FiniteGroupoid(space, elements)
+    return LabelGroupoid(space, elements)
 
 
 # The object build that `build_path_groupoid` replaced: one `GroupoidElement`
@@ -809,7 +896,7 @@ def object_path_groupoid(space: FinitePathSpace) -> FiniteGroupoid:
                     if factors[x][p][1] == factors[y][q := tuple(map(sub, p, m))][1]:
                         elements.append(GroupoidElement(x, m, y, witness=(degree(p), degree(q))))
                         break
-    return FiniteGroupoid(space, elements)
+    return LabelGroupoid(space, elements)
 
 
 def union_find_orbits(G: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
@@ -878,7 +965,7 @@ def object_groupoid_json(G: FiniteGroupoid) -> dict:
 
 def isotropy(G: FiniteGroupoid, unit: int) -> tuple[GroupoidElement, ...]:
     """All elements looping at the given unit (space index)."""
-    return tuple(G.elements[i] for i in G.by_range.get(unit, ()) if G.elements[i].y == unit)
+    return tuple(G.elements[i] for i in label_by_range(G).get(unit, ()) if G.elements[i].y == unit)
 
 
 def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
@@ -889,13 +976,13 @@ def prepend_cylinder(G: FiniteGroupoid, lam, mu) -> CylinderSet:
     if not G.space.is_exact:
         raise ExactModeError("cylinders are only enumerable in exact mode")
     m = tuple(a - b for a, b in zip(lam.degree.coords, mu.degree.coords))
-    members = []
+    members, index = [], label_index(G)
     for z in G.space.elements:
         if z.range != pth.source(sk, lam):
             continue
         xl = prepend(sk, lam, z)
         xm = prepend(sk, mu, z)
-        members.append(G.index_of((G.space.index_of(xl), m, G.space.index_of(xm))))
+        members.append(index[(G.space.index_of(xl), m, G.space.index_of(xm))])
     return CylinderSet(lam, mu, tuple(sorted(members)))
 
 

@@ -73,7 +73,7 @@ def test_a_hand_built_list_keeps_its_witnesses_and_orbits_by_components(instance
     G = kg.build_path_groupoid(space)
     units = set(G.unit_index.values())
     kept = [g for i, g in enumerate(G.elements) if i in units or g.x < g.y]  # no inverses
-    H = gpd.FiniteGroupoid(space, list(reversed(kept)))
+    H = orc.LabelGroupoid(space, list(reversed(kept)))
     assert H.elements == tuple(kept) and H.witnesses == [g.witness for g in kept]
     assert not H.is_full and not orc.object_is_full(H)
     assert gpd.orbits(H) == orc.union_find_orbits(H) == gpd.orbits(G)

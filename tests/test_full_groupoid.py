@@ -130,7 +130,7 @@ def test_every_mutant_fails_the_certificate(space, mutant, data):
     G = data.draw(st.sampled_from(built(space)))
     assume(applies(G))
     h = data.draw(st.integers(0, len(G) - 1))
-    assert not FiniteGroupoid(G.space, make(G, h)).is_full
+    assert not orc.LabelGroupoid(G.space, make(G, h)).is_full
 
 
 def test_each_mutant_keeps_the_other_clauses():
@@ -140,7 +140,7 @@ def test_each_mutant_keeps_the_other_clauses():
     source = [pth.source(space.skeleton, el) for el in space.elements]
     degree = [el.degree.coords for el in space.elements]
     for name, (make, _) in MUTANTS.items():
-        H = FiniteGroupoid(space, make(G, 5))
+        H = orc.LabelGroupoid(space, make(G, 5))
         clauses = {
             "distinct": len(H._index) == len(H),
             "count": len(H) == len(G),
@@ -209,7 +209,7 @@ def units_only_block(G):
     """G with the first source block that has a non-unit cut down to its units: still a groupoid."""
     source = [pth.source(G.space.skeleton, el) for el in G.space.elements]
     v = next(source[g.x] for g in G.elements if g.x != g.y)
-    return FiniteGroupoid(G.space, [g for g in G.elements if source[g.x] != v or g.x == g.y])
+    return orc.LabelGroupoid(G.space, [g for g in G.elements if source[g.x] != v or g.x == g.y])
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
@@ -217,7 +217,7 @@ def test_scan_tables_equal_the_label_lookups_off_full_groupoids(name):
     """One `product` scan per unit where G is not full: equal tables, or KeyError where the lookups raise."""
     G = EXACT[name]
     mutants = [units_only_block(G)] if any(g.x != g.y for g in G) else []
-    mutants += [FiniteGroupoid(G.space, dropped_element(G, h)) for h in range(0, len(G), max(1, len(G) // 12))]
+    mutants += [orc.LabelGroupoid(G.space, dropped_element(G, h)) for h in range(0, len(G), max(1, len(G) // 12))]
     for H in mutants:
         assert not H.is_full
         expected = entries_outcome(orc.label_regular_entries, H)
@@ -259,20 +259,23 @@ LINE_12 = kg.enumerate_path_space(kg.load_skeleton(line_document(12)))
 
 def test_the_axiom_check_walks_no_composable_pairs_on_built_groupoids(monkeypatch):
     calls = count_builds(monkeypatch, FiniteGroupoid, "composition")
+    label_calls = count_builds(monkeypatch, orc.LabelGroupoid, "composition")
     for G in [*built(LINE_12), EXACT["grid-2x2-full"], EXACT["e-boundary"]]:
         assert kg.verify_groupoid_axioms(G).passed
-    assert calls == []
-    broken = FiniteGroupoid(LINE_12, dropped_element(kg.build_path_groupoid(LINE_12), 3))
+    assert calls == label_calls == []
+    broken = orc.LabelGroupoid(LINE_12, dropped_element(kg.build_path_groupoid(LINE_12), 3))
     assert not kg.verify_groupoid_axioms(broken).passed
-    assert calls == [broken]
+    assert calls == [] and label_calls == [broken]
 
 
-def test_the_regular_representation_makes_one_product_per_element(monkeypatch):
+def test_the_regular_representation_makes_one_entry_per_element_and_no_product(monkeypatch):
+    """A built groupoid's tables come from its layout: one entry per element, no `product` call."""
     calls = count_calls(monkeypatch, FiniteGroupoid, "product")
     for G, size in zip(built(LINE_12), (819, 169)):
         calls.clear()
-        alg.RegularRepresentation(G)
-        assert len(calls) == len(G) == size
+        tables = {id(t): t for t in alg.RegularRepresentation(G).entries.values()}.values()
+        assert sum(t.size for t in tables) == len(G) == size
+        assert calls == []
 
 
 def test_generation_makes_one_convolution_per_path_of_positive_length(monkeypatch):

@@ -16,8 +16,7 @@ from kgraphs import algebra as alg
 from kgraphs.algebra import AlgebraElement, EdgeFunction, GenerationReport, VertexFunction
 from kgraphs.algebra import algebra_dimension
 
-from kgraphs.groupoid import FiniteGroupoid
-
+import oracles as orc
 from conftest import line_document, load_instance
 from test_boundary_search import INSTANCES
 from test_composition_table import drop_a_composite
@@ -252,7 +251,7 @@ def outcome(check, G):
 def without_pair(G, h):
     """G without the element h and its inverse; every remaining inverse is there."""
     gone = {h, G.inverse[h]}
-    return FiniteGroupoid(G.space, [g for i, g in enumerate(G.elements) if i not in gone])
+    return orc.LabelGroupoid(G.space, [g for i, g in enumerate(G.elements) if i not in gone])
 
 
 @pytest.mark.parametrize("name", ["e", "line-3", "line-4"])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import kgraphs as kg
-from kgraphs.groupoid import FiniteGroupoid, GroupoidElement
+from kgraphs.groupoid import GroupoidElement
 from kgraphs.skeleton import Degree
 
 import oracles as orc
@@ -171,7 +171,7 @@ def test_axioms_pass(G_b, G_e, Gb_b, Gb_e):
 
 def test_axioms_catch_dropped_inverse(space_b, G_b):
     broken = [g for g in G_b.elements if g.m != (-1,)]
-    G = FiniteGroupoid(space_b, broken)
+    G = orc.LabelGroupoid(space_b, broken)
     report = kg.verify_groupoid_axioms(G)
     assert not report.passed
     assert any("inverse" in f or "composite" in f for f in report.failures)
@@ -184,7 +184,7 @@ def test_axioms_catch_bad_witness(space_b, G_b):
     elements[target] = GroupoidElement(
         g.x, g.m, g.y, witness=(Degree((0,)), Degree((0,)))
     )
-    report = kg.verify_groupoid_axioms(FiniteGroupoid(space_b, elements))
+    report = kg.verify_groupoid_axioms(orc.LabelGroupoid(space_b, elements))
     assert not report.passed
     assert any("witness" in f for f in report.failures)
 

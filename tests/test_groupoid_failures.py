@@ -16,7 +16,6 @@ import pytest
 
 import kgraphs as kg
 from kgraphs import paths as pth
-from kgraphs.groupoid import FiniteGroupoid
 
 import oracles as orc
 from conftest import load_instance
@@ -37,10 +36,10 @@ NON_UNITS = [
 ]
 
 
-def swapped_witness(G, h) -> FiniteGroupoid:
+def swapped_witness(G, h) -> orc.LabelGroupoid:
     """G with the witness (p, q) of element h given as (q, p)."""
     p, q = G.elements[h].witness
-    return FiniteGroupoid(G.space, [replace(g, witness=(q, p)) if i == h else g for i, g in enumerate(G.elements)])
+    return orc.LabelGroupoid(G.space, [replace(g, witness=(q, p)) if i == h else g for i, g in enumerate(G.elements)])
 
 
 def not_covered(G, h) -> tuple[str, ...]:
@@ -72,7 +71,7 @@ def test_swapped_witnesses_reach_both_kinds_of_invalid_corner():
 def test_a_duplicated_label_is_not_covered(name, h):
     """The cylinders name the last copy of a label, so the first copy is not covered."""
     G = GROUPOIDS[name]
-    broken = FiniteGroupoid(G.space, [*G.elements, G.elements[h]])
+    broken = orc.LabelGroupoid(G.space, [*G.elements, G.elements[h]])
     assert kg.verify_etale(broken).failures == not_covered(G, h)
 
 
@@ -81,11 +80,11 @@ def test_a_dropped_unit_gives_the_loop_report(name):
     """Each unit in turn; a unit that other elements end at leaves them without their unit."""
     G = GROUPOIDS[name]
     for x, u in G.unit_index.items():
-        broken = FiniteGroupoid(G.space, [g for i, g in enumerate(G.elements) if i != u])
+        broken = orc.LabelGroupoid(G.space, [g for i, g in enumerate(G.elements) if i != u])
         report = kg.verify_groupoid_axioms(broken)
         assert report == orc.loop_groupoid_axioms(broken)
         assert report.failures[0] == f"missing unit at space index {x}"
         stranded = [label for label in G.labels if x in (label[0], label[2]) and label != G.labels[u]]
         unit_lines = [f for f in report.failures if f.startswith("unit for ")]
         assert unit_lines == [f"unit for {label} missing" for label in stranded]
-    assert any(len(G.by_range[x]) > 1 for x in G.unit_index)
+    assert any(len(orc.label_by_range(G)[x]) > 1 for x in G.unit_index)

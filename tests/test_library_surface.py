@@ -6,6 +6,11 @@ own definition and outside `__init__.py`.  A re-export is an import, not a
 reference.  Code that only tests call belongs in `tests/oracles.py`, beside
 the other references the tests compare the library with.
 
+The same holds for the public members of `FiniteGroupoid`: each method,
+property and class constant must be read as an attribute somewhere in
+`src/kgraphs` outside its own definition.  A member that only tests read
+belongs on the oracle groupoid, `oracles.LabelGroupoid`.
+
 Every module also stays under `MAX_TOKENS` tokens as `tokenize` counts them.
 Where bytecode is not cached, the modules are compiled as they are imported,
 and the parser's freed token buffer raises glibc's dynamic mmap threshold; a
@@ -73,3 +78,41 @@ def test_every_module_stays_under_the_token_limit(path):
     with path.open("rb") as fh:
         tokens = sum(1 for _ in tokenize.tokenize(fh.readline))
     assert tokens < MAX_TOKENS, f"{path.name} has {tokens} tokens: split it"
+
+
+def reads(node: ast.AST, own: str | None = None) -> set[str]:
+    """The names read under `node`, as names or attributes, each outside a definition of its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        own = node.name
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != own:
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= reads(child, own)
+    return found
+
+
+def groupoid_members() -> set[str]:
+    """The public methods, properties and class constants of `FiniteGroupoid`."""
+    tree = ast.parse((SRC / "groupoid.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroupoid")
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_member_of_the_groupoid_has_a_reader_in_src():
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= reads(ast.parse(path.read_text(encoding="utf-8")))
+    members = groupoid_members()
+    assert {"composition", "index_of", "is_full", "product"} <= members
+    stray = sorted(members - read)
+    assert not stray, f"read by no code in src/ (move them to oracles.LabelGroupoid): {stray}"

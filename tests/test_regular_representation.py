@@ -7,9 +7,9 @@ import pytest
 
 import kgraphs as kg
 from kgraphs import algebra as alg
-from kgraphs.groupoid import FiniteGroupoid
 
 from conftest import line_document, load_instance
+from oracles import LabelGroupoid
 
 
 def per_unit_scan(G):
@@ -42,7 +42,7 @@ def test_a_dropped_element_raises_key_error_where_the_scan_does(name):
     space = kg.enumerate_path_space(sk)
     for G in (kg.build_path_groupoid(space), kg.build_boundary_groupoid(space)):
         for h in range(len(G)):
-            broken = FiniteGroupoid(G.space, [g for i, g in enumerate(G.elements) if i != h])
+            broken = LabelGroupoid(G.space, [g for i, g in enumerate(G.elements) if i != h])
             try:
                 _, entries = per_unit_scan(broken)
             except KeyError:
