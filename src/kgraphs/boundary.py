@@ -2,22 +2,20 @@
 
 In exact mode (acyclic skeleton) the path space is the finite set of all
 paths, and a set is exhaustive at v iff it holds a prefix of every maximal
-path at v, the one rule of `is_exhaustive`, `minimal_exhaustive_sets` and
-the boundary certificates (`_prefix_rows`); only a bounded `is_exhaustive`
-sweeps paths pairwise, as its paths may have no maximal extension.  On
-cyclic skeletons only a truncated view is available: its elements are the
-paths up to a degree bound, each standing for its class of extensions.  The
-per-color markers of a class, whether extensions continue past the bound or
-run forever (`Skeleton.cycle_colors`), are properties of the path's source,
-read off there where the element is written (`FinitePathSpace.element_json`).
+path at v, the one rule of `is_exhaustive` and `minimal_exhaustive_sets`
+(`_prefix_rows`); only a bounded `is_exhaustive` sweeps paths pairwise, as
+its paths may have no maximal extension.  On cyclic skeletons only a
+truncated view is available: its elements are the paths up to a degree
+bound, each standing for its class of extensions, and whether those
+continue past the bound or run forever is read off the path's source
+(`Skeleton.cycle_colors`) where the `boundary` report is written.
 
-Each `FinitePathSpace` owns the one table of its elements' (head, tail)
-splits, built on first use from one-letter splits (`factors`,
-`index_of_factors`), which the exhaustive-set search, the groupoid build
-and checks and the edge operators read; per element, it keeps the members
-its exhaustive sets have among its prefixes (`obligations`), and a
-boundary certificate joins those of an element's tails.  A boundary
-restriction reads both from the space it restricts.
+A `FinitePathSpace` is only the space: its elements, their index, the one
+table of their (head, tail) splits, built on first use from one-letter
+splits (`factors`, `index_of_factors`), and the elements per range vertex
+(`by_range`).  The exhaustive-set search, the groupoid build and checks,
+the edge operators and the report writer (`kgraphs.boundary_text`) read
+them; a boundary restriction reads the table of the space it restricts.
 """
 
 from __future__ import annotations
@@ -179,8 +177,7 @@ class FinitePathSpace:
     """An enumerated path space, exact or truncated at a bound; or a `parent`'s restriction.
 
     Its elements are paths.  In a truncated space each stands for the class of
-    its extensions; what the bound hides depends on the path's source alone,
-    and `element_json` reads it off there.
+    its extensions; what the bound hides depends on the path's source alone.
     """
 
     def __init__(
@@ -197,8 +194,6 @@ class FinitePathSpace:
         self.elements: tuple[Path, ...] = tuple(elements)
         self.parent = parent
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._sets: dict[str, tuple[ExhaustiveSet, ...]] = {}
-        self._obligations: dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -211,25 +206,6 @@ class FinitePathSpace:
 
     def __contains__(self, p: Path) -> bool:
         return p in self._index
-
-    def element_json(self, i: int, memo: dict | None = None) -> dict:
-        """Element i's degree, prefixes (its row of `factors`) and truncation; a shared
-        `memo` converts each prefix once.  In a truncated space, its source's markers:
-        per color whether an edge extends it (`extendable`), and an "inf" degree
-        coordinate where the color grows forever (`Skeleton.cycle_colors`)."""
-        memo, x, row = {} if memo is None else memo, self.elements[i], self.factors[i]
-        out: dict = {
-            "degree": list(x.degree.coords),
-            "prefixes": [[list(m), _json(memo, head)] for m, (head, _) in sorted(row.items())],
-            "truncated": not self.is_exact,
-        }
-        if not self.is_exact:
-            sk = self.skeleton
-            tail, colors = pth.source(sk, x), range(1, sk.rank + 1)
-            grows = sk.cycle_colors[tail]
-            out["degree"] = ["inf" if c in grows else n for c, n in zip(colors, out["degree"])]
-            out["extendable"] = [any(e.color == c for e in sk.edges_by_range[tail]) for c in colors]
-        return out
 
     @cached_property
     def factors(self) -> tuple[dict[tuple[int, ...], tuple[Path, Path]], ...]:
@@ -280,22 +256,6 @@ class FinitePathSpace:
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
-    def obligations(self, y: Path) -> list[tuple[tuple[Path, ...], Path | None]]:
-        """(members, first member that is a prefix of y, or None) per minimal exhaustive
-        set at r(y), in order, up to the first None; kept per element, the sets per vertex."""
-        if self.parent is not None:
-            return self.parent.obligations(y)
-        if (i := self.index_of(y)) not in self._obligations:
-            if y.range not in self._sets:
-                self._sets[y.range] = minimal_exhaustive_sets(self.skeleton, y.range, self)
-            row, found = self.factors[i], self._obligations.setdefault(i, [])
-            for ex_set in self._sets[y.range]:
-                prefixes = (p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] is p)
-                found.append((ex_set.members, next(prefixes, None)))
-                if found[-1][1] is None:
-                    break
-        return self._obligations[i]
-
 
 def _one_letter_cuts(sk: Skeleton, x: Path):
     """(c, x', g) per color c of x, where x = x'.g and g is x's last color-c letter."""
@@ -319,13 +279,6 @@ def enumerate_path_space(sk: Skeleton, bound: Degree | None = None) -> FinitePat
 def prepend(sk: Skeleton, lam: Path, x: Path) -> Path:
     """Extend the element by a path on the range side, lam.x; s(lam) must be r(x)."""
     return pth.compose(sk, lam, x)
-
-
-def _json(memo: dict, p: Path):
-    """The JSON of a path, once per `memo` (id -> (path, JSON))."""
-    if id(p) not in memo:
-        memo[id(p)] = p, p.to_json()
-    return memo[id(p)][1]
 
 
 def boundary_paths(space: FinitePathSpace) -> FinitePathSpace:

@@ -217,20 +217,8 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     if (sk := _load_valid(args)) is None:
         return 1
     space = bnd.enumerate_path_space(sk, bound=args.bound)
-    if space.is_exact:  # imported here, as in `_json_chunks`
-        from .boundary_text import boundary_chunks, boundary_lines
-        _write(args, boundary_chunks(space) if args.format == "json" else boundary_lines(space))
-        return 0
-    memo: dict = {}  # each prefix is converted once, and shared
-    payload = {
-        "classification": bnd.classify_vertices(sk).to_json(),
-        "mode": "truncated",
-        "bound": list(args.bound.coords),
-        "elements": [space.element_json(i, memo) for i in range(len(space))],
-        "boundary_size": None,
-        "note": "boundary membership is undecided at a truncation bound",
-    }
-    _emit(args, payload)
+    from .boundary_text import boundary_chunks, boundary_lines  # imported here, as in `_json_chunks`
+    _write(args, boundary_lines(space) if args.format == "text" else boundary_chunks(space, args.bound))
     return 0
 
 

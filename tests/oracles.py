@@ -54,12 +54,15 @@ bins, once the groupoid kept them (`per_call_row_sums`), and the scalar
 form and the count and unit-circle checks of the gauge parameters, once the
 suite formed its scales as one table per chunk (`gauge_automorphism`), and
 the hand-built element list with every table keyed by labels, once a built
-groupoid found its elements by block arithmetic (`LabelGroupoid`).
+groupoid found its elements by block arithmetic (`LabelGroupoid`), and the
+path memo `_json` with a boundary certificate's per-tail `obligations`, once
+the `boundary` writer rendered both modes' records from path texts.
 """
 
 from __future__ import annotations
 
 import graphlib
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -68,6 +71,7 @@ from operator import add, sub
 
 import numpy as np
 
+from kgraphs import boundary as bnd
 from kgraphs import paths as pth
 from kgraphs.algebra import (
     DEFAULT_SEED,
@@ -100,7 +104,6 @@ from kgraphs.boundary import (
     ExhaustiveSet,
     ExhaustivenessResult,
     FinitePathSpace,
-    _json,
     classify_vertices,
     prepend,
 )
@@ -1076,6 +1079,13 @@ def rescan_minimal_exhaustive_sets(sk: Skeleton, vertex_id: str):
 # each at enumeration.  `reference_element_json` writes an element through it.
 
 
+def _json(memo: dict, p: Path):
+    """The JSON of a path, once per `memo` (id -> (path, JSON))."""
+    if id(p) not in memo:
+        memo[id(p)] = p, p.to_json()
+    return memo[id(p)][1]
+
+
 @dataclass(frozen=True)
 class PathSpaceElement:
     """A path-space point, or in truncated mode a prefix class.
@@ -1129,7 +1139,8 @@ def _truncated_element(sk: Skeleton, p: Path) -> PathSpaceElement:
 
 
 def reference_element_json(space: FinitePathSpace, i: int) -> dict:
-    """`space.element_json(i)` through the per-element wrapper."""
+    """Element i's record in the `boundary` report (its "element" in exact mode), through the
+    per-element wrapper."""
     p = space.elements[i]
     el = PathSpaceElement(p) if space.is_exact else _truncated_element(space.skeleton, p)
     return el.to_json(space.factors[i])
@@ -1162,6 +1173,28 @@ class BoundaryCertificate:
         return {"status": self.status, "entries": [e.to_json() for e in self.entries]}
 
 
+# Per root space, per vertex, its minimal exhaustive sets, searched once.
+_SETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def obligations(space: FinitePathSpace, y: Path) -> list[tuple[tuple[Path, ...], Path | None]]:
+    """(members, first member that is a prefix of y, or None) per minimal exhaustive set at
+    r(y), in order, up to the first None.  A restriction reads the sets and the table of the
+    space it restricts, as its own elements at a vertex are not all the paths there."""
+    while space.parent is not None:
+        space = space.parent
+    sets = _SETS.setdefault(space, {})
+    if y.range not in sets:
+        sets[y.range] = bnd.minimal_exhaustive_sets(space.skeleton, y.range, space)
+    row, found = space.factors[space.index_of(y)], []
+    for ex_set in sets[y.range]:
+        prefix = next((p for p in ex_set.members if row.get(p.degree.coords, (None,))[0] is p), None)
+        found.append((ex_set.members, prefix))
+        if prefix is None:
+            break
+    return found
+
+
 def is_boundary(space: FinitePathSpace, x: Path) -> tuple[bool | None, BoundaryCertificate]:
     """Decide boundary membership of an exact element, with a certificate: the
     reference for the records `boundary_chunks` writes.
@@ -1177,7 +1210,7 @@ def is_boundary(space: FinitePathSpace, x: Path) -> tuple[bool | None, BoundaryC
     entries: list[BoundaryEntry] = []
     for m, (_, tail) in space.factors[space.index_of(x)].items():
         at = Degree(m)
-        for members, witness in space.obligations(tail):
+        for members, witness in obligations(space, tail):
             entries.append(BoundaryEntry(at, tail.range, members, witness))
             if witness is None:
                 return False, BoundaryCertificate("not_boundary", tuple(entries))
@@ -1213,16 +1246,13 @@ def filtered_boundary_paths(space: FinitePathSpace) -> FinitePathSpace:
     return FinitePathSpace(space.skeleton, "exact", kept, parent=space)
 
 
-def boundary_report(
-    space: FinitePathSpace, verdicts=is_boundary, element_json=FinitePathSpace.element_json
-) -> dict:
+def boundary_report(space: FinitePathSpace, verdicts=is_boundary) -> dict:
     """The exact `boundary` report as a dict, the reference for `boundary_chunks`:
-    `verdicts(space, p)` gives each element's (verdict, certificate), and
-    `element_json(space, i)` its element JSON."""
+    `verdicts(space, p)` gives each element's (verdict, certificate)."""
     members = []
     for i, p in enumerate(space.elements):
         verdict, cert = verdicts(space, p)
-        element = element_json(space, i)
+        element = reference_element_json(space, i)
         members.append({"element": element, "boundary": verdict, "certificate": cert.to_json()})
     return {
         "classification": classify_vertices(space.skeleton).to_json(),
@@ -1232,10 +1262,22 @@ def boundary_report(
 
 
 def subset_search_boundary_report(space: FinitePathSpace) -> dict:
-    """`boundary_report` built on `segment_is_boundary` and `reference_element_json`."""
+    """`boundary_report` built on `segment_is_boundary`."""
     cache: dict = {}
-    verdicts = lambda space, p: segment_is_boundary(space, p, cache)
-    return boundary_report(space, verdicts, reference_element_json)
+    return boundary_report(space, lambda space, p: segment_is_boundary(space, p, cache))
+
+
+def truncated_report(space: FinitePathSpace, bound: Degree) -> dict:
+    """The truncated `boundary` report as a dict, the reference for `boundary_chunks` with a
+    bound: each element's `reference_element_json`, and no boundary verdict."""
+    return {
+        "classification": classify_vertices(space.skeleton).to_json(),
+        "mode": "truncated",
+        "bound": list(bound.coords),
+        "elements": [reference_element_json(space, i) for i in range(len(space))],
+        "boundary_size": None,
+        "note": "boundary membership is undecided at a truncation bound",
+    }
 
 
 # The per-element reference layer: one path, element or function at a time,

@@ -12,6 +12,7 @@ from kgraphs.skeleton import Degree, ExactModeError, degree_box
 
 import oracles as orc
 from conftest import line_document
+from test_element_json import written_records
 
 
 # --- vertex classification ------------------------------------------------
@@ -165,8 +166,7 @@ def test_truncated_space_of_commuting_loops(instance_a):
     space = kg.enumerate_path_space(instance_a, bound=Degree((1, 1)))
     assert len(space) == 4
     assert {el.degree.coords for el in space} == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    for i in range(len(space)):
-        marked = space.element_json(i)
+    for marked in written_records(space):
         assert marked["truncated"] is True
         assert marked["extendable"] == [True, True]
         assert marked["degree"] == ["inf", "inf"]
@@ -174,8 +174,7 @@ def test_truncated_space_of_commuting_loops(instance_a):
 
 def test_truncated_markers_honest_on_acyclic(instance_e):
     space = kg.enumerate_path_space(instance_e, bound=Degree((1,)))
-    for i, el in enumerate(space):
-        marked = space.element_json(i)
+    for el, marked in zip(space, written_records(space)):
         assert marked["degree"] == [el.degree.coords[0]]
         tail = kg.source(instance_e, el)
         assert marked["extendable"] == [bool(instance_e.edges_by_range[tail])]
@@ -183,8 +182,8 @@ def test_truncated_markers_honest_on_acyclic(instance_e):
 
 def test_element_prefix_tables_cohere(instance_e):
     space = kg.enumerate_path_space(instance_e)
-    for i, (el, row) in enumerate(zip(space, space.factors)):
-        prefixes = space.element_json(i)["prefixes"]
+    for el, row, marked in zip(space, space.factors, written_records(space)):
+        prefixes = marked["prefixes"]
         assert [m for m, _ in prefixes] == [list(m.coords) for m in degree_box(el.degree)]
         for m, prefix in prefixes:
             head, tail = kg.factorize(instance_e, el, Degree(tuple(m)))
@@ -226,7 +225,7 @@ def test_shift_truncated_class(instance_a):
     full = next(el for el in space if el.degree == Degree((1, 1)))
     smaller = orc.shift(instance_a, full, Degree((1, 0)))
     assert smaller.degree == Degree((0, 1))
-    marked = space.element_json(space.index_of(smaller))
+    marked = written_records(space)[space.index_of(smaller)]
     assert marked["truncated"] is True and marked["degree"] == ["inf", "inf"]
 
 
@@ -376,9 +375,8 @@ def test_truncated_markers_on_a_long_line_equal_the_oracle():
     space = kg.enumerate_path_space(sk, Degree((2,)))
     tails = {kg.source(sk, el) for el in space}
     grows = {v: 1 in orc.reachable_cycle_colors(sk, v) for v in tails}
-    for i, el in enumerate(space):
+    for el, marked in zip(space, written_records(space)):
         tail = kg.source(sk, el)
-        marked = space.element_json(i)
         assert marked["extendable"] == [bool(sk.edges_by_range[tail])]
         assert marked["degree"] == ["inf" if grows[tail] else el.degree.coords[0]]
     assert list(grows.values()).count(False) == 1 and len(space) > 600

@@ -8,7 +8,8 @@ exhaustive-set search shows up here.  The exact reports pin the text that
 `boundary_text.boundary_chunks` writes from its fragments.  The truncated pins
 cover the markers a bound adds: finite degrees and sources that receive no
 edge (e at 1), rank 3 (c), and "inf" beside finite coordinates with
-`extendable` differing by source (one cycling colour).
+`extendable` differing by source (one cycling colour); a at 8,8 (0.69 MB)
+and c at 3,3,3 (0.34 MB) pin listings long enough to span many records.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ PINS = {
     "c-bound-1-1-1": (
         "c", ["--bound", "1,1,1"], 0,
         "2bd5c32bca03111c26f4acb25be227ddb6a7939bb81bddc0a6208e926ad574a2",
+    ),
+    "a-bound-8-8": (
+        "a", ["--bound", "8,8"], 0,
+        "138b4dfd24b473d5a88a456c78cbdecbc43d2e7d66e57a12fd3bd33a11b9802f",
+    ),
+    "c-bound-3-3-3": (
+        "c", ["--bound", "3,3,3"], 0,
+        "fe799e377147eaeb1054f55377fe4636de2954e4d364cec6a5c41d2647d0146c",
     ),
     "e-bound-1": (
         "e", ["--bound", "1"], 0,

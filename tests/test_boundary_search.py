@@ -211,7 +211,8 @@ def test_star_products_match_the_rescan():
 
 @pytest.mark.parametrize("name", ["tree-0", "multigraph-0", "grid-(2, 3)", "fork-squared", "tree-product-0"])
 def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, name):
-    """The space keeps each vertex's minimal exhaustive sets: one search per distinct range vertex."""
+    """The writer, and the oracle over repeated verdicts, each search each vertex's minimal
+    exhaustive sets once: one search per distinct range vertex."""
     sk = dict(INSTANCES)[name]
     space = kg.enumerate_path_space(sk)
     calls = []
@@ -223,6 +224,8 @@ def test_a_report_and_repeated_verdicts_find_each_vertex_sets_once(monkeypatch, 
 
     monkeypatch.setattr(kg.boundary, "minimal_exhaustive_sets", spy)
     report = json.loads("".join(boundary_chunks(space)))
+    assert sorted(calls) == sorted({el.range for el in space})
+    calls.clear()
     for _ in range(3):
         assert [orc.is_boundary(space, el)[0] for el in space] == [m["boundary"] for m in report["elements"]]
     assert sorted(calls) == sorted({el.range for el in space})

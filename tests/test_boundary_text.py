@@ -1,12 +1,16 @@
-"""The exact `boundary` report, written as text, against the dict reference.
+"""The `boundary` report, written as text, against the dict references.
 
 `boundary_text.boundary_chunks` renders each path, set and tail once and joins
-the records from those texts; `oracles.boundary_report` builds the report as
-a dict from `is_boundary` and `element_json`.  The writer's bytes must be
-`json.dumps(reference, sort_keys=True, indent=2)` plus a newline on random
-trees, random exact 2-graphs, the grid (2,2,2), a single vertex, no vertex
-at all, and ids that JSON escapes.  The writer finds every certificate's
-obligations before it yields a piece, so a failing search leaves no file.
+the records from those texts; `oracles.boundary_report` builds the exact report
+as a dict from `is_boundary` and `reference_element_json`, and
+`oracles.truncated_report` the truncated one from `reference_element_json`.
+The writer's bytes must be `json.dumps(reference, sort_keys=True, indent=2)`
+plus a newline on random trees, random exact 2-graphs, the grid (2,2,2), a
+single vertex, no vertex at all, and ids that JSON escapes; truncated, on
+instances a and c and the one-cycling-colour graph at bounds with zero
+coordinates, and on random trees and 2-graphs, which are acyclic, taken at a
+bound.  The writer finds every certificate's obligations before it yields a
+piece, so a failing search leaves no file.
 
 The property runs are derandomized and keep no example database, so tier-1
 sees the same examples every time.
@@ -24,9 +28,10 @@ import kgraphs as kg
 from kgraphs import boundary as bnd
 from kgraphs.boundary_text import boundary_chunks
 from kgraphs.cli import main
+from kgraphs.skeleton import Degree
 
 import oracles as orc
-from conftest import instance_path
+from conftest import instance_path, load_instance, one_cycling_colour_document
 from test_validate_properties import examples, random_2graphs
 from test_verify_digests import grid_document, tree_document
 
@@ -40,6 +45,18 @@ def check_writer(document: dict) -> None:
     pieces = list(boundary_chunks(space))
     assert len(pieces) == len(space) + 2  # the head, one piece per record, the end
     assert "".join(pieces) == reference_text(space)
+
+
+def check_truncated_writer(sk: kg.Skeleton, bound: tuple[int, ...]) -> None:
+    space = bnd.enumerate_path_space(sk, Degree(bound))
+    pieces = list(boundary_chunks(space, Degree(bound)))
+    assert len(pieces) == len(space) + 2
+    want = orc.truncated_report(space, Degree(bound))
+    assert "".join(pieces) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def bounds(rank: int, most: int):
+    return st.tuples(*[st.integers(0, most)] * rank)
 
 
 @st.composite
@@ -76,6 +93,58 @@ def test_2graph_reports_equal_the_reference(document):
 @given(escaped_trees())
 def test_escaped_ids_equal_the_reference(document):
     check_writer(document)
+
+
+@examples(12)
+@given(bounds(2, 4))
+def test_truncated_a_equals_the_reference(bound):
+    check_truncated_writer(load_instance("a"), bound)
+
+
+@examples(12)
+@given(bounds(3, 2))
+def test_truncated_c_equals_the_reference(bound):
+    check_truncated_writer(load_instance("c"), bound)
+
+
+@examples(12)
+@given(bounds(2, 3))
+def test_truncated_one_cycling_colour_equals_the_reference(bound):
+    check_truncated_writer(kg.load_skeleton(one_cycling_colour_document()), bound)
+
+
+@examples(30)
+@given(st.integers(0, 10**6), st.integers(1, 12), bounds(1, 4))
+def test_truncated_trees_equal_the_reference(seed, size, bound):
+    check_truncated_writer(kg.load_skeleton(tree_document(seed, size)), bound)
+
+
+@examples(30)
+@given(random_2graphs().filter(lambda document: len(document["edges"]) <= 12), bounds(2, 2))
+def test_truncated_2graphs_equal_the_reference(document, bound):
+    check_truncated_writer(kg.load_skeleton(document), bound)
+
+
+@examples(30)
+@given(escaped_trees(), st.booleans(), bounds(1, 3))
+def test_truncated_escaped_ids_equal_the_reference(document, looped, bound):
+    """With a loop at the last vertex, whose id JSON escapes too, some degrees read "inf"."""
+    if looped:
+        last = document["vertices"][-1]["id"]
+        document["edges"].append({"id": 'ℓ"\\', "color": 1, "range": last, "source": last})
+    check_truncated_writer(kg.load_skeleton(document), bound)
+
+
+@pytest.mark.parametrize(
+    "document, bound",
+    [
+        ({"rank": 1, "vertices": [{"id": "v"}], "edges": [], "squares": []}, (0,)),
+        ({"rank": 2, "vertices": [], "edges": [], "squares": []}, (1, 1)),
+    ],
+    ids=["one-vertex", "no-vertex"],
+)
+def test_fixed_truncations_equal_the_reference(document, bound):
+    check_truncated_writer(kg.load_skeleton(document), bound)
 
 
 @pytest.mark.parametrize(

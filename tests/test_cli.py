@@ -6,7 +6,7 @@ import json
 import pytest
 
 import kgraphs as kg
-from kgraphs.boundary import FinitePathSpace
+from kgraphs import boundary_text
 from kgraphs.cli import build_parser, main
 from kgraphs.paths import Path
 
@@ -472,24 +472,22 @@ def test_exhaustive_without_members_or_minimal_is_refused_before_loading(tmp_pat
 
 
 def test_a_truncated_boundary_listing_converts_each_prefix_once(tmp_path, monkeypatch, instance_a):
-    """Instance a at 8,8: 81 elements, 2,025 prefixes, 81 distinct paths among them."""
-    to_json, element_json, calls, listed = Path.to_json, FinitePathSpace.element_json, [], []
-
-    def listing(space, i, memo=None):
-        before = len(calls)
-        out = element_json(space, i, memo)
-        listed.append(len(calls) - before)
-        return out
-
-    monkeypatch.setattr(Path, "to_json", lambda p: calls.append(p) or to_json(p))
-    monkeypatch.setattr(FinitePathSpace, "element_json", listing)
+    """Instance a at 8,8: 81 elements, 2,025 prefixes, 81 distinct paths among them, each
+    rendered by one `_path_text` call; once the writer starts, no `Path.to_json` call (the
+    enumeration sorts by it)."""
+    chunks, path_text, to_json = boundary_text.boundary_chunks, boundary_text._path_text, Path.to_json
+    rendered, converted = [], []
+    monkeypatch.setattr(boundary_text, "_path_text", lambda p, n: rendered.append(p) or path_text(p, n))
+    monkeypatch.setattr(boundary_text, "boundary_chunks", lambda *args: converted.clear() or chunks(*args))
+    monkeypatch.setattr(Path, "to_json", lambda p: converted.append(p) or to_json(p))
     out = tmp_path / "report.json"
     assert main(["boundary", str(instance_path("a")), "--bound", "8,8", "--out", str(out)]) == 0
-    assert (len(listed), sum(listed)) == (81, 81)
+    assert (len(rendered), len({id(p) for p in rendered}), converted) == (81, 81, [])
     monkeypatch.undo()
     space = kg.enumerate_path_space(instance_a, bound=kg.Degree((8, 8)))
     listing = json.loads(out.read_text(encoding="utf-8"))["elements"]
-    assert listing == [space.element_json(i) for i in range(len(space))]
+    assert sum(len(record["prefixes"]) for record in listing) == 2025
+    assert listing == [orc.reference_element_json(space, i) for i in range(len(space))]
 
 
 # Instance documents that each trip one schema check of `load_skeleton`.

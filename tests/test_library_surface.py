@@ -6,10 +6,12 @@ own definition and outside `__init__.py`.  A re-export is an import, not a
 reference.  Code that only tests call belongs in `tests/oracles.py`, beside
 the other references the tests compare the library with.
 
-The same holds for the public members of `FiniteGroupoid`: each method,
-property and class constant must be read as an attribute somewhere in
-`src/kgraphs` outside its own definition.  A member that only tests read
-belongs on the oracle groupoid, `oracles.LabelGroupoid`.
+The same holds for the public members of `FiniteGroupoid` and of
+`FinitePathSpace`: each method, property and class constant must be read as
+an attribute somewhere in `src/kgraphs` outside its own definition.  A
+groupoid member that only tests read belongs on the oracle groupoid,
+`oracles.LabelGroupoid`; a path-space member, among the oracles' functions of
+a space (`reference_element_json`, `obligations`).
 
 Every module also stays under `MAX_TOKENS` tokens as `tokenize` counts them.
 Where bytecode is not cached, the modules are compiled as they are imported,
@@ -94,10 +96,10 @@ def reads(node: ast.AST, own: str | None = None) -> set[str]:
     return found
 
 
-def groupoid_members() -> set[str]:
-    """The public methods, properties and class constants of `FiniteGroupoid`."""
-    tree = ast.parse((SRC / "groupoid.py").read_text(encoding="utf-8"))
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroupoid")
+def members(module: str, name: str) -> set[str]:
+    """The public methods, properties and class constants of the class `name` in the module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
     names = set()
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -107,12 +109,21 @@ def groupoid_members() -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
-def test_every_public_member_of_the_groupoid_has_a_reader_in_src():
+def unread_members(module: str, name: str, expected: set[str]) -> list[str]:
     read: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name != "__init__.py":
             read |= reads(ast.parse(path.read_text(encoding="utf-8")))
-    members = groupoid_members()
-    assert {"composition", "index_of", "is_full", "product"} <= members
-    stray = sorted(members - read)
+    found = members(module, name)
+    assert expected <= found
+    return sorted(found - read)
+
+
+def test_every_public_member_of_the_groupoid_has_a_reader_in_src():
+    stray = unread_members("groupoid", "FiniteGroupoid", {"composition", "index_of", "is_full", "product"})
     assert not stray, f"read by no code in src/ (move them to oracles.LabelGroupoid): {stray}"
+
+
+def test_every_public_member_of_the_path_space_has_a_reader_in_src():
+    stray = unread_members("boundary", "FinitePathSpace", {"by_range", "factors", "index_of", "is_exact"})
+    assert not stray, f"read by no code in src/ (move them to functions in tests/oracles.py): {stray}"

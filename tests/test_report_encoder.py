@@ -8,7 +8,7 @@ block sizes small enough that every carry across a block boundary is taken.
 The groupoid, verify and validate digest pins and the short boundary pins
 are run again at block sizes 1 and 7, since at the default size most pinned
 reports are short enough to go through `json.dumps`.  Payloads that share one
-list or dict from several places, as `element_json`'s memo does, are
+list or dict from several places, as a memo of converted paths does, are
 checked too, since the compact encoder skips the cycle check.
 
 The compact text itself is encoded by item and by slice (`cli._compact`), and
