@@ -4,7 +4,7 @@ Each input runs `kgraphs boundary ... --out FILE`; the digest of FILE and the
 exit code must not move.  The report lists every element with its prefixes
 and its boundary verdict, the vertex classes and the minimal exhaustive sets,
 so a change to the element order, to the factorization table or to the
-exhaustive-set search shows up here.  The exact reports pin the text that
+exhaustive-set search shows up here.  Both modes pin the text that
 `boundary_text.boundary_chunks` writes from its fragments.  The truncated pins
 cover the markers a bound adds: finite degrees and sources that receive no
 edge (e at 1), rank 3 (c), and "inf" beside finite coordinates with
